@@ -1,16 +1,28 @@
 """Dense kernels with a fixed, platform-independent summation scheme.
 
 Matrices are plain C-ordered float64 ``numpy`` arrays.  Every reduction in
-``matmul``/``gram`` (and the norm helpers built on :func:`fixed_sum`) uses the
-same deterministic scheme: the summation axis is cut into 32-wide blocks,
-each block is accumulated left to right, and block partials are combined by
-a binary tree whose shape depends only on the operand sizes.  Results are
-therefore bit-reproducible across runs, thread counts, and BLAS builds,
-while rounding error grows like the block size plus the tree depth instead
-of linearly in the reduced dimension.
+``matmul``, ``gram``, ``fixed_sum`` and ``fixed_sum_rows`` (and so in the
+norms and the Gaussian sketch built on them) runs through one kernel,
+:func:`_reduce`, with one deterministic order: the summation axis is cut
+into 32-wide blocks, each block is summed left to right, and the block
+partials are merged by a carry-pairwise tree (neighbours added pairwise, an
+odd last partial carried up unchanged) whose shape depends only on the
+length of the summation axis.  Results are therefore bit-reproducible
+across runs, thread counts, and BLAS builds, while rounding error grows
+like the block size plus the tree depth instead of linearly in the reduced
+dimension.
+
+The kernel takes step s of every block at once, as one vectorized multiply
+and add over the blocks.  Its memory layout is chosen from the operand
+shapes alone: the longer of the output-row count and the block count is
+the innermost axis.  It works in chunks that fit in cache; the left
+operand is copied chunk by chunk, the right operand once.  No layout or
+chunk size changes a bit of the result.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,6 +37,28 @@ from .errors import (
 UNIT_ROUNDOFF = 2.0 ** -53
 
 _BLOCK = 32
+_CHUNK = 1 << 16  # entries of one vectorized step (512 KiB)
+_ACC = 1 << 20  # entries of the block partials of one row chunk (8 MiB)
+_TILE = 256  # blocks per transposing copy
+_SOLVE_ROWS = 4096  # rows of X per triangular-solve chunk
+_BUFSIZE = 256  # ufunc buffer entries inside the kernels (numpy default 8192)
+
+
+def _small_buffers(func):
+    """Run ``func`` with a short ufunc buffer.
+
+    With numpy's default buffer, a broadcast multiply or a strided add
+    copies its short inner loops through the buffer, which makes it 2-4x
+    slower.  Buffering never changes a result.
+    """
+    @functools.wraps(func)
+    def run(*args, **kwargs):
+        old = np.setbufsize(_BUFSIZE)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+    return run
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -39,103 +73,135 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _tree_fold(stack: list[np.ndarray]):
-    total = stack[-1]
-    for part in stack[-2::-1]:
-        total = part + total
-    return total
+def _carry_tree(parts: np.ndarray) -> np.ndarray:
+    """Merge partials along the last axis: add neighbour pairs, carry an odd
+    last partial up unchanged, and repeat until one is left.
 
-
-def _matmul_core(at: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_l outer(at[l], b[l]) under the fixed blocked-pairwise scheme.
-
-    ``at`` is the transposed left operand, so both inputs are walked along
-    contiguous rows.  Small outputs take a cumsum fast path; both paths
-    perform the identical sequence of additions, so the choice (a function
-    of shape only) never changes a bit of the result.
+    This is the order in which a binary counter merges equal-sized sums of
+    a left-to-right stream of partials; nothing is ever padded with zeros.
     """
-    k, m = at.shape
-    n = b.shape[1]
-    small = m * n <= 4096
-    tmp = None if small else np.empty((m, n))
-    levels: list[int] = []
-    stack: list[np.ndarray] = []
-    for lo in range(0, k, _BLOCK):
-        hi = min(k, lo + _BLOCK)
-        if small:
-            prods = at[lo:hi, :, None] * b[lo:hi, None, :]
-            np.cumsum(prods, axis=0, out=prods)
-            acc = prods[-1].copy()
-        else:
-            acc = at[lo][:, None] * b[lo]
-            for l in range(lo + 1, hi):
-                np.multiply(at[l][:, None], b[l], out=tmp)
-                acc += tmp
-        level = 0
-        while levels and levels[-1] == level:
-            levels.pop()
-            acc = stack.pop() + acc
-            level += 1
-        levels.append(level)
-        stack.append(acc)
-    return _tree_fold(stack)
+    n = parts.shape[-1]
+    while n > 1:
+        half = n // 2
+        merged = np.empty_like(parts[..., half:])
+        np.add(parts[..., 0:2 * half:2], parts[..., 1:2 * half:2],
+               out=merged[..., :half])
+        if n % 2:
+            merged[..., half] = parts[..., n - 1]
+        parts = merged
+        n -= half
+    return parts[..., 0]
+
+
+def _step_major(m: np.ndarray, t0: int, t1: int, out: np.ndarray) -> None:
+    """out[s, i, t - t0] = m[i, 32 t + s] for blocks t0 <= t < t1.
+
+    Copied in tiles of ``_TILE`` blocks, which keeps the transposition in
+    cache.  Slots past the end of ``m`` are left unset; no step reads them.
+    """
+    rows, k = m.shape
+    nfull = min(t1, k // _BLOCK)
+    for u0 in range(t0, nfull, _TILE):
+        u1 = min(nfull, u0 + _TILE)
+        tile = m[:, u0 * _BLOCK:u1 * _BLOCK].reshape(rows, u1 - u0, _BLOCK)
+        out[:, :, u0 - t0:u1 - t0] = tile.transpose(2, 0, 1)
+    if nfull < t1:
+        tail = k - nfull * _BLOCK
+        out[:tail, :, nfull - t0] = m[:, nfull * _BLOCK:].T
+
+
+@_small_buffers
+def _reduce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme.
+
+    For s = 0..31 in order, step s of every block is one multiply and one
+    add over all blocks of a chunk, so each block partial is its own left
+    to right sum; :func:`_carry_tree` then merges the partials.  The
+    accumulators are indexed (row, column, block).  In memory the blocks
+    are innermost when there are at least as many blocks as output rows,
+    and the rows are innermost otherwise.
+    """
+    p, k = a.shape
+    q = b.shape[1]
+    nb = -(-k // _BLOCK)
+    tail = k - _BLOCK * (nb - 1)  # steps in the last block
+    bs = np.empty((_BLOCK, q, nb))
+    _step_major(b.T, 0, nb, bs)
+    if nb >= p:
+        rows = max(1, _CHUNK // (q * nb))
+        cb = nb
+        abuf = np.empty((_BLOCK, rows, cb))
+        acc = np.empty((rows, q, nb))
+        tmp = np.empty((rows, q, cb))
+    else:
+        rows = max(1, min(p, _CHUNK // q, _ACC // (q * nb)))
+        cb = max(1, _CHUNK // (q * rows))
+        abuf = np.empty((_BLOCK, cb, rows)).transpose(0, 2, 1)
+        acc = np.empty((nb, q, rows)).transpose(2, 1, 0)
+        tmp = np.empty((cb, q, rows)).transpose(2, 1, 0)
+    out = np.empty((p, q))
+    for i0 in range(0, p, rows):
+        r = min(p, i0 + rows) - i0
+        for t0 in range(0, nb, cb):
+            t1 = min(nb, t0 + cb)
+            ab = abuf[:, :r, :t1 - t0]
+            _step_major(a[i0:i0 + r], t0, t1, ab)
+            ac = acc[:r, :, t0:t1]
+            np.multiply(ab[0][:, None, :], bs[0, None, :, t0:t1], out=ac)
+            for s in range(1, _BLOCK):
+                # the ragged last block stops after ``tail`` steps
+                n = t1 - t0 - (t1 == nb and s >= tail)
+                tm = tmp[:r, :, :n]
+                np.multiply(ab[s][:, None, :n], bs[s, None, :, t0:t0 + n], out=tm)
+                np.add(ac[:, :, :n], tm, out=ac[:, :, :n])
+        out[i0:i0 + r] = _carry_tree(acc[:r])
+    return out
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with the fixed deterministic summation scheme."""
+    """Matrix product A B; every entry is a fixed-scheme sum (see module doc).
+
+    Operands may be any views (``x.T`` included); the result is C-ordered.
+    """
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    return _matmul_core(np.ascontiguousarray(a.T), np.ascontiguousarray(b))
+    return _reduce(a, b)
 
 
 def gram(x) -> np.ndarray:
-    """X^T X, exactly symmetric (upper triangle computed, then mirrored)."""
+    """X^T X, exactly symmetric.
+
+    The kernel forms matmul(X.T, X) without copying X transposed; its upper
+    triangle is kept bit for bit and mirrored into the lower one.
+    """
     x = as_matrix(x)
     if x.shape[0] < x.shape[1]:
         raise DimensionError(f"need rows >= cols, got shape {x.shape}")
-    g = _matmul_core(x, x)
-    return np.triu(g) + np.triu(g, 1).T
+    g = _reduce(x.T, x)
+    lower = np.tril_indices(g.shape[0], -1)
+    g[lower] = g.T[lower]
+    return g
 
 
 def fixed_sum(v) -> float:
-    """Deterministic sum of a 1-D array (same blocked-pairwise scheme)."""
+    """Deterministic sum of a 1-D array: matmul of the row against ones.
+
+    Same kernel and order as :func:`matmul`, signed zeros included.
+    """
     v = np.asarray(v, dtype=np.float64).ravel()
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return 0.0
-    blocks = -(-n // _BLOCK)
-    w = np.zeros(blocks * _BLOCK)
-    w[:n] = v
-    w = w.reshape(blocks, _BLOCK)
-    acc = w[:, 0].copy()
-    for l in range(1, _BLOCK):
-        acc += w[:, l]
-    while acc.size > 1:
-        if acc.size % 2:
-            acc = np.concatenate([acc, [0.0]])
-        acc = acc[0::2] + acc[1::2]
-    return float(acc[0])
+    return float(fixed_sum_rows(v[:, None])[0])
 
 
 def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
-    """Column-wise deterministic sums of a 2-D array (axis 0)."""
-    rows, cols = m.shape
-    blocks = -(-rows // _BLOCK)
-    w = np.zeros((blocks * _BLOCK, cols))
-    w[:rows] = m
-    w = w.reshape(blocks, _BLOCK, cols)
-    acc = w[:, 0, :].copy()
-    for l in range(1, _BLOCK):
-        acc += w[:, l, :]
-    while acc.shape[0] > 1:
-        if acc.shape[0] % 2:
-            acc = np.concatenate([acc, np.zeros((1, cols))])
-        acc = acc[0::2] + acc[1::2]
-    return acc[0]
+    """Column-wise deterministic sums of a 2-D array (axis 0): ones @ M."""
+    m = np.asarray(m, dtype=np.float64)
+    return _reduce(np.broadcast_to(1.0, (1, m.shape[0])), m)[0]
 
 
 def cholesky(g) -> np.ndarray:
@@ -162,25 +228,35 @@ def cholesky(g) -> np.ndarray:
     return r
 
 
+@_small_buffers
 def trisolve_right(x, r) -> np.ndarray:
     """Solve W R = X for W by per-row back-substitution.
 
     ``r`` is upper triangular; the strictly lower part is never read.
+    Column j of W is (X[:, j] - sum_{l<j} W[:, l] r[l, j]) / r[j, j], the
+    terms subtracted in order of l.  The columns are worked on as
+    contiguous rows of a transposed chunk of ``_SOLVE_ROWS`` rows of X.
     """
     x = as_matrix(x)
     r = as_matrix(r, "triangular factor")
-    n = x.shape[1]
+    m, n = x.shape
     if r.shape != (n, n):
         raise DimensionError(f"factor shape {r.shape} does not match {x.shape}")
     diag = np.diagonal(r)
     if np.any(diag == 0.0):
         raise SingularTriangular("zero diagonal entry in triangular factor")
-    w = np.empty_like(x)
-    for j in range(n):
-        acc = x[:, j].copy()
-        for l in range(j):
-            acc -= w[:, l] * r[l, j]
-        w[:, j] = acc / diag[j]
+    w = np.empty((m, n))
+    for c0 in range(0, m, _SOLVE_ROWS):
+        rows = min(m, c0 + _SOLVE_ROWS) - c0
+        wt = x[c0:c0 + rows].T.copy()
+        tmp = np.empty(rows)
+        for j in range(n):
+            acc = wt[j]
+            for l in range(j):
+                np.multiply(wt[l], r[l, j], out=tmp)
+                np.subtract(acc, tmp, out=acc)
+            np.divide(acc, diag[j], out=acc)
+        w[c0:c0 + rows] = wt.T
     return w
 
 

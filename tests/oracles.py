@@ -52,6 +52,23 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def trisolve_reference(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Column-by-column replay of the production triangular solve.
+
+    W[:, j] = (X[:, j] - sum_{l<j} W[:, l] r[l, j]) / r[j, j], the terms
+    subtracted in order of l.  Must agree bit for bit with
+    rcholqr.dense.trisolve_right.
+    """
+    n = x.shape[1]
+    w = np.empty_like(x)
+    for j in range(n):
+        acc = x[:, j].copy()
+        for l in range(j):
+            acc -= w[:, l] * r[l, j]
+        w[:, j] = acc / r[j, j]
+    return w
+
+
 def householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK Householder QR, normalized to a positive R diagonal."""
     q, r = np.linalg.qr(x)

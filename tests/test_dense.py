@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rcholqr import dense
-from rcholqr.bounds import gamma
+from rcholqr.bench import ExperimentConfig, load_input
+from rcholqr.bounds import CHOLQR2, gamma
 from rcholqr.errors import (
     CholeskyBreakdown,
     DimensionError,
@@ -10,8 +11,9 @@ from rcholqr.errors import (
     SingularTriangular,
     SymmetryError,
 )
+from rcholqr.generators import GeneratorSpec
 
-from oracles import matmul_compensated, matmul_reference
+from oracles import matmul_compensated, matmul_reference, trisolve_reference
 
 
 def test_matmul_identity():
@@ -35,12 +37,42 @@ def test_matmul_rejects_nonfinite():
         dense.matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
 
 
-@pytest.mark.parametrize("k", [1, 2, 31, 32, 33, 64, 65, 200])
+def _same_bits(x, y):
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 31, 32, 33, 64, 65, 200, 417])
 def test_matmul_matches_scalar_replay(k):
+    # (rows, cols) of the product: one row, a few rows, more rows than any
+    # block count here, and more cols than rows.  Rows above and below the
+    # block count put the rows or the blocks innermost.
     rng = np.random.default_rng(k)
-    a = rng.standard_normal((4, k))
-    b = rng.standard_normal((k, 3))
-    assert np.array_equal(dense.matmul(a, b), matmul_reference(a, b))
+    for p, q in [(1, 6), (3, 2), (40, 3), (9, 24)]:
+        a = rng.standard_normal((p, k))
+        b = rng.standard_normal((k, q))
+        assert _same_bits(dense.matmul(a, b), matmul_reference(a, b))
+
+
+@pytest.mark.parametrize("p, k, q", [(1, 1345, 2), (5, 417, 3), (70, 300, 4), (300, 65, 2)])
+def test_matmul_chunking_keeps_bits(monkeypatch, p, k, q):
+    # Tiny chunks and tiles split rows, blocks and the transposing copies.
+    monkeypatch.setattr(dense, "_CHUNK", 64)
+    monkeypatch.setattr(dense, "_TILE", 3)
+    rng = np.random.default_rng(p + k + q)
+    a = rng.standard_normal((p, k))
+    b = rng.standard_normal((k, q))
+    assert _same_bits(dense.matmul(a, b), matmul_reference(a, b))
+
+
+def test_matmul_transposed_views():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((90, 6))
+    b = rng.standard_normal((5, 90))
+    got = dense.matmul(a.T, b.T)
+    assert _same_bits(got, matmul_reference(a.T, b.T))
+    assert got.flags.c_contiguous
 
 
 def test_matmul_deterministic_repeat():
@@ -73,6 +105,19 @@ def test_gram_close_to_matmul():
     diff = dense.gram(x) - dense.matmul(x.T, x)
     fro_x = np.linalg.norm(x)
     assert np.linalg.norm(diff) <= gamma(60) * fro_x * fro_x
+
+
+def test_gram_upper_triangle_is_matmul_bitwise():
+    rng = np.random.default_rng(2)
+    for shape in [(60, 8), (1000, 20), (33, 33)]:
+        x = rng.standard_normal(shape)
+        upper = np.triu_indices(shape[1])
+        assert _same_bits(dense.gram(x)[upper], dense.matmul(x.T, x)[upper])
+    # every product in entry (0, 1) is -0.0, so the sum is -0.0 too
+    x = np.array([[-1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0]])
+    g = dense.gram(x)
+    assert _same_bits(g[np.triu_indices(2)], dense.matmul(x.T, x)[np.triu_indices(2)])
+    assert np.signbit(g[0, 1]) and np.signbit(g[1, 0])
 
 
 def test_gram_bitwise_symmetric():
@@ -153,6 +198,23 @@ def test_trisolve_recovers_solution():
     assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
 
 
+def test_trisolve_matches_column_replay():
+    rng = np.random.default_rng(16)
+    for m, n in [(1, 1), (37, 5), (9000, 20)]:
+        x = rng.standard_normal((m, n))
+        r = np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n)
+        got = dense.trisolve_right(x, r)
+        assert _same_bits(got, trisolve_reference(x, r))
+        assert got.flags.c_contiguous
+
+
+def test_trisolve_matches_column_replay_on_t1():
+    x = load_input(ExperimentConfig(generator=GeneratorSpec("t1", sigma=1e-4),
+                                    algorithm=CHOLQR2))
+    r = dense.cholesky(dense.gram(x))
+    assert _same_bits(dense.trisolve_right(x, r), trisolve_reference(x, r))
+
+
 def test_sym_eigenvalues_diagonal():
     assert np.array_equal(dense.sym_eigenvalues(np.diag([3.0, 1.0, 2.0])),
                           [3.0, 2.0, 1.0])
@@ -206,6 +268,23 @@ def test_fixed_sum_matches_fsum_order_free_cases():
     assert dense.fixed_sum(v) == pytest.approx(np.sum(v), rel=1e-12)
     assert dense.fixed_sum(np.ones(717)) == 717.0
     assert dense.fixed_sum(np.array([])) == 0.0
+
+
+def test_fixed_sum_is_matmul_against_ones():
+    rng = np.random.default_rng(17)
+    for k in [1, 31, 33, 417, 20000]:
+        v = rng.standard_normal(k)
+        want = dense.matmul(v[None, :], np.ones((k, 1)))[0, 0]
+        assert _same_bits(dense.fixed_sum(v), want)
+
+
+def test_fixed_sum_keeps_negative_zero():
+    for k in [1, 32, 33, 417]:
+        v = np.full(k, -0.0)
+        by_matmul = dense.matmul(v[None, :], np.ones((k, 1)))[0, 0]
+        assert np.signbit(by_matmul)
+        assert np.signbit(dense.fixed_sum(v))
+        assert np.all(np.signbit(dense.fixed_sum_rows(np.full((k, 3), -0.0))))
 
 
 def test_fixed_sum_rows_matches_columns():
