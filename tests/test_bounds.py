@@ -38,13 +38,13 @@ def test_check_size():
 def test_check_assumptions():
     assert bounds.check_assumption_multi(0.75, 1.25, 20000, 20)
     assert not bounds.check_assumption_multi(0.9999, 1.25, 20000, 20)
-    assert bounds.check_assumption_single(0.5, 20000, 20)
+    assert bounds.check_assumption_multi(0.5, 0.5, 20000, 20)
 
 
 def test_const_a_b():
     assert bounds.const_a(0.75, 1.25) == pytest.approx(1.16 / 0.27, rel=1e-12)
     assert bounds.const_a(0.0, 0.0) == pytest.approx(1.16 / 0.85, rel=1e-12)
-    assert bounds.const_b(0.5) == bounds.const_a(0.5, 0.5)
+    assert bounds.const_a(0.5, 0.5) == 2.4051682876783262  # single sketch: b
     with pytest.raises(AssumptionViolated):
         bounds.const_a(0.999999, 1.25)
 
@@ -128,7 +128,7 @@ def test_predicted_orth():
     assert bounds.predicted_orth(MR, EXP_MULTI, 20000, 20) == \
         4.923406465325575e-09
     assert bounds.predicted_orth(CHOLQR2, NO_SKETCH, 1, 1) == 18 * U
-    b = bounds.const_b(0.5)
+    b = bounds.const_a(0.5, 0.5)
     assert bounds.predicted_orth(SR, EXP_SINGLE, 20000, 20) == pytest.approx(
         5 * b * b * (20000 * 20 * U + 420 * U), rel=1e-15)
 
@@ -222,3 +222,61 @@ def test_build_bound_report_admissible_implication():
             assert report.kappa_measured <= report.kappa_limit
     det = bounds.build_bound_report(x, CHOLQR2, NO_SKETCH)
     assert det.admissible  # random Gaussian input is far inside the region
+
+
+# Exact values of the sketched bounds, frozen before sr was written as mr
+# with one Gaussian stage: (algorithm, class, profile, eta, j, u,
+# kappa_limit, predicted_resid at ||X||_2 = 1).
+SKETCHED_PINS = [
+    (SR, sparse.T1, T1_PROFILE, 0.007, 4.45, U,
+     51376.68584007757, 1.8151686326207922e-13),
+    (SR, sparse.DENSE, DENSE_PROFILE, 0.007, 4.45, U,
+     51376.68584007757, 3.0666129552515556e-13),
+    (MR, sparse.T1, T1_PROFILE, 0.007, 4.45, U,
+     29662.343376145524, 3.143964303013608e-13),
+    (MR, sparse.DENSE, DENSE_PROFILE, 0.007, 4.45, U,
+     29662.343376145524, 5.311529459823851e-13),
+    (SR, sparse.T1, T1_PROFILE, 0.5, 2.0, U,
+     1866.7255305880456, 5.7063610290317075e-12),
+    (SR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, U,
+     114313.12599417259, 1.9457214633450633e-13),
+    (MR, sparse.T1, T1_PROFILE, 0.5, 2.0, U,
+     1077.7544867272513, 9.883707260969405e-12),
+    (MR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, U,
+     65998.71401192379, 3.370088439647986e-13),
+    (SR, sparse.T1, T1_PROFILE, 0.5, 2.0, 1e-7,
+     0.0008031248620416609, 0.019201632050630305),
+    (SR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, 1e-7,
+     0.04918115279363009, 0.00044772004966445536),
+    (MR, sparse.T1, T1_PROFILE, 0.5, 2.0, 1e-7,
+     0.00020139106071030466, 0.08701970861125813),
+    (MR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, 1e-7,
+     0.01233263343745289, 0.0017637753837555703),
+]
+
+
+@pytest.mark.parametrize("alg,kind,profile,eta,j,u,limit,resid", SKETCHED_PINS)
+def test_sketched_bounds_pinned(alg, kind, profile, eta, j, u, limit, resid):
+    params = EXP_SINGLE if alg == SR else EXP_MULTI
+    assert bounds.kappa_limit(alg, kind, profile, params, 20000, 20,
+                              eta=eta, j=j, u=u) == limit
+    assert bounds.predicted_resid(alg, kind, profile, params, 20000, 20,
+                                  norm_x_2=1.0, eta=eta, j=j, u=u) == resid
+
+
+def test_build_bound_report_constants_pinned():
+    # eta and j come from the measured spectrum of the paper's t1 matrix
+    x = make_t1(GeneratorSpec("t1", sigma=1e-4))
+    common = [("gamma_n", 2.2204460492503182e-15), ("eta", 0.0072519388283903),
+              ("j", 4.471571591311695)]
+    expected = {
+        SR: (EXP_SINGLE, common + [
+            ("b", 2.4051682876783262), ("h", 1.2858400051985237e-09),
+            ("t1", 7.601113771173531e-10), ("k1", 1.8618850216217528e-07)]),
+        MR: (EXP_MULTI, common + [
+            ("a", 4.296296296296297), ("d", 4.102838721104646e-09),
+            ("t", 2.1291328470006474e-09), ("k", 5.215289069750832e-07)]),
+    }
+    for alg, (params, pairs) in expected.items():
+        report = bounds.build_bound_report(x, alg, params)
+        assert list(report.constants.items()) == pairs, alg
