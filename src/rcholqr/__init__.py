@@ -4,89 +4,29 @@ from .bounds import (
     CHOLQR2,
     MR,
     SR,
-    BoundReport,
     SketchParams,
     build_bound_report,
-    check_assumption_multi,
-    check_assumption_single,
-    check_size,
-    complexity_estimate,
-    gamma,
-    kappa_limit,
-    predicted_orth,
-    predicted_resid,
 )
 from .bench import (
     ExperimentConfig,
-    ExperimentRecord,
-    ExperimentSummary,
     emit_csv,
     emit_json,
     run_experiment,
 )
-from .dense import (
-    UNIT_ROUNDOFF,
-    cholesky,
-    cond2,
-    gram,
-    matmul,
-    singular_values,
-    sym_eigenvalues,
-    trisolve_right,
-)
 from .errors import (
-    AssumptionViolated,
     CholeskyBreakdown,
-    DimensionError,
-    EncUndefined,
     ParamError,
-    ParseError,
-    RankDeficient,
     RcholqrError,
-    SingularTriangular,
-    SymmetryError,
-    UndefinedRatio,
 )
-from .generators import GeneratorSpec, generate, make_dense, make_t1, make_t2
-from .norms import eta, fro_norm, g_bracket, g_norm, j_ratio, two_norm
+from .generators import GeneratorSpec, generate
 from .qr import (
-    QRDiagnostics,
-    QRResult,
-    cholesky_qr,
     cholesky_qr2,
+    factorize,
     mr_cholesky_qr2,
-    orthogonality,
-    residual,
     sr_cholesky_qr2,
 )
-from .sketch import (
-    CountSketchOp,
-    EmbeddingParams,
-    GaussianSketchOp,
-    MultiSketchOp,
-    apply_countsketch,
-    apply_gaussian,
-    apply_multi,
-    build_countsketch,
-    build_gaussian,
-    build_multisketch,
-    combine_embedding,
-    countsketch_min_rows,
-    gaussian_rows_hint,
-    mix_seed,
-    verify_embedding,
-)
 from .sparse import (
-    CSRMatrix,
-    SparsityProfile,
-    dense_times_sparse,
-    enc_beta,
-    from_dense,
-    max_abs,
-    profile_sparsity,
     read_matrix_market,
-    spmm,
-    to_dense,
     write_matrix_market,
 )
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators, qr, sparse
-from .bounds import CHOLQR2, MR, SR, BoundReport
+from .bounds import BoundReport, SketchParams
 from .errors import CholeskyBreakdown, ParamError
-from .sketch import build_gaussian, build_multisketch, mix_seed
+from .sketch import mix_seed
 
 SUCCESS = "SUCCESS"
 QUALITY_FAIL = "QUALITY_FAIL"
@@ -37,10 +37,6 @@ class ExperimentConfig:
     algorithm: str
     s1: int = 0  # CountSketch rows for mr; the Gaussian size for sr
     s2: int = 0
-    e1: float = 0.5
-    p1: float = 0.6
-    e2: float = 0.5
-    p2: float = 0.4
     trials: int = 30
     master_seed: int = 0
     success_orth_threshold: float = 1e-12
@@ -75,30 +71,6 @@ def load_input(config: ExperimentConfig) -> np.ndarray:
     return made
 
 
-def _validate(config: ExperimentConfig, m: int, n: int) -> None:
-    if config.trials < 1:
-        raise ParamError("need trials >= 1")
-    if config.algorithm == MR:
-        if not n <= config.s2 <= config.s1 <= m:
-            raise ParamError(
-                f"need n <= s2 <= s1 <= m, got s1={config.s1}, s2={config.s2}")
-    elif config.algorithm == SR:
-        if not n <= config.s1 <= m:
-            raise ParamError(f"need n <= s <= m, got s={config.s1}")
-    elif config.algorithm != CHOLQR2:
-        raise ParamError(f"unknown algorithm {config.algorithm!r}")
-
-
-def _run_trial(x: np.ndarray, config: ExperimentConfig, seed: int):
-    if config.algorithm == MR:
-        op = build_multisketch(config.s1, config.s2, x.shape[0], seed)
-        return qr.mr_cholesky_qr2(x, op)
-    if config.algorithm == SR:
-        op = build_gaussian(config.s1, x.shape[0], seed)
-        return qr.sr_cholesky_qr2(x, op)
-    return qr.cholesky_qr2(x)
-
-
 def run_experiment(config: ExperimentConfig,
                    x: np.ndarray | None = None,
                    ) -> tuple[list[ExperimentRecord], ExperimentSummary]:
@@ -106,15 +78,17 @@ def run_experiment(config: ExperimentConfig,
 
     Pass ``x`` to reuse an already materialized input across configurations.
     """
+    if config.trials < 1:
+        raise ParamError("need trials >= 1")
+    params = SketchParams(config.algorithm, s1=config.s1, s2=config.s2)
     if x is None:
         x = load_input(config)
-    _validate(config, x.shape[0], x.shape[1])
     records: list[ExperimentRecord] = []
     for trial in range(config.trials):
         seed = mix_seed(config.master_seed, trial)
         start = time.perf_counter()
         try:
-            result = _run_trial(x, config, seed)
+            result = qr.factorize(params, x, seed)
         except CholeskyBreakdown as err:
             elapsed = time.perf_counter() - start
             records.append(ExperimentRecord(

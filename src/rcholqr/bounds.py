@@ -29,6 +29,9 @@ MR = "mr"
 # sketch carries both a stated 6 a^2 and a derived 5 a^2 coefficient; the
 # conservative one is what predicted_orth returns.
 ORTH_COEFFS = {MR: (6.0, 5.0), SR: (5.0, 5.0), CHOLQR2: (6.0, 5.9)}
+# Report names of the amplification cap, its growth term, the sketching-
+# stage coefficient and its nonzero-mass scaling; sr keeps the paper's names.
+CONSTANT_NAMES = {MR: ("a", "d", "t", "k"), SR: ("b", "h", "t1", "k1")}
 
 
 def gamma(n: int, u: float = U) -> float:
@@ -61,10 +64,6 @@ def check_assumption_multi(eps_s: float, eps_b: float, m: int, n: int,
     return lhs >= _assumption_rhs(m, n, u)
 
 
-def check_assumption_single(eps: float, m: int, n: int, u: float = U) -> bool:
-    return check_assumption_multi(eps, eps, m, n, u)
-
-
 def const_a(eps_s: float, eps_b: float) -> float:
     """Condition-number cap of the preconditioned matrix, composed sketch."""
     den = 0.87 * math.sqrt((1.0 - eps_s) / (1.0 + eps_b)) - 0.02
@@ -73,17 +72,8 @@ def const_a(eps_s: float, eps_b: float) -> float:
     return 1.16 / den
 
 
-def const_b(eps: float) -> float:
-    """Single-sketch analogue of const_a."""
-    return const_a(eps, eps)
-
-
 def const_d(a: float, m: int, n: int, u: float = U) -> float:
     return 5.0 * a * a * _size_factor(m, n, u)
-
-
-def const_h(b: float, m: int, n: int, u: float = U) -> float:
-    return const_d(b, m, n, u)
 
 
 def sparse_weight(v: int, t1: int, t2: int, n: int) -> float:
@@ -134,7 +124,9 @@ def const_k1(m: int, s: int, v: int, t1: int, t2: int, n: int,
 
 @dataclass
 class SketchParams:
-    """Sketch sizes and embedding parameters of one algorithm configuration."""
+    """One algorithm configuration: its name, sketch sizes and embedding
+    parameters.  For sr, ``s1`` is the Gaussian size and ``e1``/``p1`` its
+    embedding; sr is analysed as mr with eps_s = eps_b = e1."""
 
     mode: str  # CHOLQR2 | SR | MR
     e1: float = 0.0
@@ -157,6 +149,19 @@ class SketchParams:
     def none(cls) -> "SketchParams":
         return cls(CHOLQR2)
 
+    def __post_init__(self):
+        if self.mode not in (CHOLQR2, SR, MR):
+            raise ParamError(f"unknown algorithm {self.mode!r}")
+
+    def check(self, m: int, n: int) -> None:
+        """The sketch sizes fit an m x n input: n <= s2 <= s1 <= m for mr,
+        n <= s <= m for sr."""
+        if self.mode == MR and not n <= self.s2 <= self.s1 <= m:
+            raise ParamError(
+                f"need n <= s2 <= s1 <= m, got s1={self.s1}, s2={self.s2}")
+        if self.mode == SR and not n <= self.s1 <= m:
+            raise ParamError(f"need n <= s <= m, got s={self.s1}")
+
     def embedding(self) -> EmbeddingParams:
         if self.mode == MR:
             return combine_embedding(self.e1, self.p1, self.e2, self.p2)
@@ -165,8 +170,20 @@ class SketchParams:
         return EmbeddingParams(0.0, 0.0, 0.0)
 
 
-def _two_term_min(first_den: float, pre: float, tail: float) -> float:
-    return min(first_den, pre * tail)
+def _mode(algorithm: str, params: SketchParams) -> str:
+    if algorithm != params.mode:
+        raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
+    return algorithm
+
+
+def _stage(params: SketchParams, m: int, u: float,
+           c_gauss: float) -> tuple[float, int]:
+    """Sketching-stage coefficient and last sketch size: t and s2 for mr,
+    t1 and s for sr."""
+    if params.mode == MR:
+        return const_t(params.s1, params.s2, m, params.e1, u=u,
+                       c_gauss=c_gauss), params.s2
+    return const_t1(m, params.s1, u=u, c_gauss=c_gauss), params.s1
 
 
 def kappa_limit(algorithm: str, kind: str, profile: sparse.SparsityProfile,
@@ -181,57 +198,34 @@ def kappa_limit(algorithm: str, kind: str, profile: sparse.SparsityProfile,
     """
     v, t1, t2 = profile.v, profile.t1, profile.t2
     sw = sparse_weight(v, t1, t2, n)
-    emb = params.embedding()
-    if algorithm == CHOLQR2:
+    if _mode(algorithm, params) == CHOLQR2:
         base = math.sqrt(m * u + (n + 1) * u)
         k2 = 1.0 / (10.5 * j * base)
         if kind == sparse.T1:
             k1 = 1.0 / (10.5 * eta * base * sw)
             return min(k1, k2)
         return k2
-    if algorithm == MR:
-        root_s = math.sqrt(1.0 - emb.eps_s)
-        root_b = math.sqrt(1.0 + emb.eps_b)
-        tail = math.sqrt((1.0 - emb.eps_s) / (params.s2 * u + (n + 1) * u))
-        t = const_t(params.s1, params.s2, m, params.e1, u=u, c_gauss=c_gauss)
-        k = t * sw
-        w = _two_term_min(root_s / (10.5 * j * t),
-                          1.0 / (10.5 * j * (root_b + t)), tail)
-        if kind == sparse.T1:
-            r = _two_term_min(root_s / (10.5 * eta * k),
-                              1.0 / (10.5 * eta * (root_b * sw + k)), tail)
-            return min(r, w)
-        return w
-    if algorithm == SR:
-        eps, s = params.e1, params.s1
-        root = math.sqrt(1.0 - eps)
-        root_b = math.sqrt(1.0 + eps)
-        tail = math.sqrt((1.0 - eps) / (s * u + (n + 1) * u))
-        t1c = const_t1(m, s, u=u, c_gauss=c_gauss)
-        k1c = t1c * sw
-        w1 = _two_term_min(root / (10.5 * j * t1c),
-                           1.0 / (10.5 * j * (root_b + t1c)), tail)
-        if kind == sparse.T1:
-            r1 = _two_term_min(root / (10.5 * eta * k1c),
-                               1.0 / (10.5 * eta * (root_b * sw + k1c)), tail)
-            return min(r1, w1)
-        return w1
-    raise ParamError(f"unknown algorithm {algorithm!r}")
+    emb = params.embedding()
+    t, s_out = _stage(params, m, u, c_gauss)
+    root_s = math.sqrt(1.0 - emb.eps_s)
+    root_b = math.sqrt(1.0 + emb.eps_b)
+    tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
+    k = t * sw
+    w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
+    if kind == sparse.T1:
+        r = min(root_s / (10.5 * eta * k),
+                1.0 / (10.5 * eta * (root_b * sw + k)) * tail)
+        return min(r, w)
+    return w
 
 
 def predicted_orth(algorithm: str, params: SketchParams, m: int, n: int,
                    u: float = U) -> float:
     """Orthogonality bound; the conservative coefficient when two are stated."""
-    factor = _size_factor(m, n, u)
-    coeff = ORTH_COEFFS[algorithm][0]
-    if algorithm == MR:
-        emb = params.embedding()
-        a = const_a(emb.eps_s, emb.eps_b)
-        return coeff * a * a * factor
-    if algorithm == SR:
-        b = const_b(params.e1)
-        return coeff * b * b * factor
-    return coeff * factor
+    emb = params.embedding()
+    # cholqr2 has no preconditioner to amplify; a = 1 leaves every bit as is
+    a = 1.0 if _mode(algorithm, params) == CHOLQR2 else const_a(emb.eps_s, emb.eps_b)
+    return ORTH_COEFFS[algorithm][0] * a * a * _size_factor(m, n, u)
 
 
 def predicted_resid(algorithm: str, kind: str, profile: sparse.SparsityProfile,
@@ -243,19 +237,13 @@ def predicted_resid(algorithm: str, kind: str, profile: sparse.SparsityProfile,
     sw = sparse_weight(v, t1, t2, n)
     n_sqrt_n = n * math.sqrt(n)
     scale = u * norm_x_2
-    if algorithm == CHOLQR2:
+    if _mode(algorithm, params) == CHOLQR2:
         if kind == sparse.T1:
             return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
         return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
     emb = params.embedding()
-    if algorithm == MR:
-        t = const_t(params.s1, params.s2, m, params.e1, u=u, c_gauss=c_gauss)
-        amp = const_a(emb.eps_s, emb.eps_b)
-        grow = const_d(amp, m, n, u)
-    else:
-        t = const_t1(m, params.s1, u=u, c_gauss=c_gauss)
-        amp = const_b(params.e1)
-        grow = const_h(amp, m, n, u)
+    t, _ = _stage(params, m, u, c_gauss)
+    grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
     root_s = math.sqrt(1.0 - emb.eps_s)
     root_b = math.sqrt(1.0 + emb.eps_b)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
@@ -309,15 +297,13 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         xd = dense.as_matrix(x)
         csr = sparse.from_dense(xd)
     m, n = xd.shape
+    sketched = _mode(algorithm, params) != CHOLQR2
+    params.check(m, n)
     profile = sparse.profile_sparsity(csr, dense_fraction)
     size_ok = check_size(m, n, u)
     emb = params.embedding()
-    if algorithm == MR:
-        assumption_ok = check_assumption_multi(emb.eps_s, emb.eps_b, m, n, u)
-    elif algorithm == SR:
-        assumption_ok = check_assumption_single(params.e1, m, n, u)
-    else:
-        assumption_ok = True
+    assumption_ok = not sketched or check_assumption_multi(
+        emb.eps_s, emb.eps_b, m, n, u)
     # one spectrum measurement feeds ||X||_2, kappa, eta, and j
     sv = dense.singular_values(xd)
     norm_x = float(sv[0])
@@ -333,19 +319,12 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         "eta": eta_m,
         "j": j_m,
     }
-    if algorithm == MR:
-        constants["a"] = const_a(emb.eps_s, emb.eps_b)
-        constants["d"] = const_d(constants["a"], m, n, u)
-        constants["t"] = const_t(params.s1, params.s2, m, params.e1,
-                                 u=u, c_gauss=c_gauss)
-        constants["k"] = constants["t"] * sparse_weight(
-            profile.v, profile.t1, profile.t2, n)
-    elif algorithm == SR:
-        constants["b"] = const_b(params.e1)
-        constants["h"] = const_h(constants["b"], m, n, u)
-        constants["t1"] = const_t1(m, params.s1, u=u, c_gauss=c_gauss)
-        constants["k1"] = constants["t1"] * sparse_weight(
-            profile.v, profile.t1, profile.t2, n)
+    if sketched:
+        a = const_a(emb.eps_s, emb.eps_b)
+        t, _ = _stage(params, m, u, c_gauss)
+        k = t * sparse_weight(profile.v, profile.t1, profile.t2, n)
+        constants.update(zip(CONSTANT_NAMES[algorithm],
+                             (a, const_d(a, m, n, u), t, k)))
     admissible = bool(size_ok[0] and size_ok[1] and assumption_ok
                       and kappa <= limit)
     return BoundReport(

@@ -44,10 +44,15 @@ def _spec_from_args(args) -> generators.GeneratorSpec:
         block_size=args.block_size, block_count=args.blocks, seed=args.seed)
 
 
-def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
+def _add_alg_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alg", choices=(bounds.CHOLQR2, bounds.SR, bounds.MR),
+                   required=True)
     p.add_argument("--s1", type=int, default=0, help="CountSketch rows (mr)")
     p.add_argument("--s2", type=int, default=0, help="Gaussian rows (mr)")
     p.add_argument("--s", type=int, default=0, help="Gaussian rows (sr)")
+
+
+def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps1", type=float, default=0.5)
     p.add_argument("--p1", type=float, default=0.6)
     p.add_argument("--eps2", type=float, default=0.5)
@@ -57,11 +62,15 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _sketch_params(args) -> bounds.SketchParams:
+    """The one reading of --alg and the size flags, plus the embedding flags
+    where the command has them (only ``bounds`` uses embedding values)."""
+    e = {k: getattr(args, k, 0.0)
+         for k in ("eps1", "p1", "eps2", "p2", "eps", "p")}
     if args.alg == bounds.MR:
-        return bounds.SketchParams.multi(args.eps1, args.p1, args.eps2, args.p2,
+        return bounds.SketchParams.multi(e["eps1"], e["p1"], e["eps2"], e["p2"],
                                          args.s1, args.s2)
     if args.alg == bounds.SR:
-        return bounds.SketchParams.single(args.eps, args.p, args.s)
+        return bounds.SketchParams.single(e["eps"], e["p"], args.s)
     return bounds.SketchParams.none()
 
 
@@ -78,11 +87,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("factorize",
                        help="factorize a Matrix Market file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--alg", choices=(bounds.CHOLQR2, bounds.SR, bounds.MR),
-                   required=True)
-    p.add_argument("--s1", type=int, default=0)
-    p.add_argument("--s2", type=int, default=0)
-    p.add_argument("--s", type=int, default=0)
+    _add_alg_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-q", dest="out_q")
     p.add_argument("--out-r", dest="out_r")
@@ -90,9 +95,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench",
                        help="run seeded multi-trial experiments")
     _add_generator_flags(p)
-    p.add_argument("--alg", choices=(bounds.CHOLQR2, bounds.SR, bounds.MR),
-                   required=True)
-    _add_sketch_flags(p)
+    _add_alg_flags(p)
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--master-seed", dest="master_seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-12,
@@ -102,9 +105,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds",
                        help="evaluate admissibility and predicted bounds")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--alg", choices=(bounds.CHOLQR2, bounds.SR, bounds.MR),
-                   required=True)
-    _add_sketch_flags(p)
+    _add_alg_flags(p)
+    _add_embedding_flags(p)
     p.add_argument("--dense-fraction", type=float, default=0.25)
     p.add_argument("--json", required=True)
 
@@ -132,15 +134,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_factorize(args) -> int:
     x = sparse.to_dense(sparse.read_matrix_market(args.infile))
-    m = x.shape[0]
     try:
-        if args.alg == bounds.MR:
-            result = qr.mr_cholesky_qr2(
-                x, build_multisketch(args.s1, args.s2, m, args.seed))
-        elif args.alg == bounds.SR:
-            result = qr.sr_cholesky_qr2(x, build_gaussian(args.s, m, args.seed))
-        else:
-            result = qr.cholesky_qr2(x)
+        result = qr.factorize(_sketch_params(args), x, args.seed)
     except CholeskyBreakdown as err:
         print(f"CholeskyBreakdown: stage {err.stage}, pivot {err.index}",
               file=sys.stderr)
@@ -156,15 +151,12 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    params = _sketch_params(args)
     config = bench.ExperimentConfig(
         generator=_spec_from_args(args),
-        algorithm=args.alg,
-        s1=args.s1 if args.alg == bounds.MR else args.s,
-        s2=args.s2,
-        e1=args.eps1 if args.alg == bounds.MR else args.eps,
-        p1=args.p1 if args.alg == bounds.MR else args.p,
-        e2=args.eps2,
-        p2=args.p2,
+        algorithm=params.mode,
+        s1=params.s1,
+        s2=params.s2,
         trials=args.trials,
         master_seed=args.master_seed,
         success_orth_threshold=args.threshold,
@@ -182,8 +174,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_bounds(args) -> int:
     x = sparse.read_matrix_market(args.infile)
-    params = _sketch_params(args)
-    report = bounds.build_bound_report(x, args.alg, params,
+    report = bounds.build_bound_report(x, args.alg, _sketch_params(args),
                                        dense_fraction=args.dense_fraction)
     bench.emit_json(report, args.json)
     print(f"class {report.matrix_class}, admissible {report.admissible}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dense, sketch
+from .bounds import MR, SR, SketchParams
 from .errors import CholeskyBreakdown, DimensionError
 from .norms import fro_norm
 
@@ -99,23 +100,41 @@ def _refine_sketched(x: np.ndarray, a: np.ndarray) -> QRResult:
     return _finish(q, dense.matmul(z, y), x, ["sketch-cholesky", "refine-cholesky"])
 
 
-def sr_cholesky_qr2(x, gauss: sketch.GaussianSketchOp) -> QRResult:
-    """Gaussian-sketched variant: precondition with the factor of (Omega X)."""
+def _require_sketchable(x, in_rows: int, out_rows: int) -> np.ndarray:
+    """X is tall and the operator maps its m rows to s rows, n <= s <= m."""
     x = _require_tall(x)
     m, n = x.shape
-    if gauss.in_rows != m:
-        raise DimensionError(f"sketch expects {gauss.in_rows} rows, input has {m}")
-    if not n <= gauss.out_rows <= m:
-        raise DimensionError(f"need n <= s <= m, got s={gauss.out_rows}")
+    if in_rows != m:
+        raise DimensionError(f"sketch expects {in_rows} rows, input has {m}")
+    if not n <= out_rows <= m:
+        raise DimensionError(f"need n <= s <= m, got s={out_rows}")
+    return x
+
+
+def sr_cholesky_qr2(x, gauss: sketch.GaussianSketchOp) -> QRResult:
+    """Gaussian-sketched variant: precondition with the factor of (Omega X)."""
+    x = _require_sketchable(x, gauss.in_rows, gauss.out_rows)
     return _refine_sketched(x, sketch.apply_gaussian(gauss, x))
 
 
 def mr_cholesky_qr2(x, multi: sketch.MultiSketchOp) -> QRResult:
     """Composed-sketch variant: CountSketch then Gaussian before the first pass."""
-    x = _require_tall(x)
-    m, n = x.shape
-    if multi.count.in_rows != m:
-        raise DimensionError(f"sketch expects {multi.count.in_rows} rows, input has {m}")
-    if not n <= multi.gauss.out_rows:
-        raise DimensionError(f"need n <= s2, got s2={multi.gauss.out_rows}")
+    x = _require_sketchable(x, multi.count.in_rows, multi.gauss.out_rows)
     return _refine_sketched(x, sketch.apply_multi(multi, x))
+
+
+def factorize(params: SketchParams, x, seed: int) -> QRResult:
+    """Run the algorithm ``params`` names on ``x``, sketching from ``seed``.
+
+    The one map from an algorithm to its sketch and factorization.  It calls
+    both through module attributes, so wrappers patched onto ``qr`` and
+    ``sketch`` (R capture, tracing) see every call.
+    """
+    m, n = np.shape(x)
+    params.check(m, n)
+    if params.mode == MR:
+        return mr_cholesky_qr2(
+            x, sketch.build_multisketch(params.s1, params.s2, m, seed))
+    if params.mode == SR:
+        return sr_cholesky_qr2(x, sketch.build_gaussian(params.s1, m, seed))
+    return cholesky_qr2(x)

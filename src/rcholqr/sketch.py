@@ -124,11 +124,9 @@ def apply_countsketch(op: CountSketchOp, x) -> np.ndarray:
 
 
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
+    """Omega X; ``dense.matmul`` validates X and its row count."""
     if isinstance(x, sparse.CSRMatrix):
         x = sparse.to_dense(x)
-    x = dense.as_matrix(x)
-    if x.shape[0] != op.in_rows:
-        raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
     return dense.matmul(op.entries, x)
 
 

@@ -184,6 +184,58 @@ def test_cli_bounds_json(tmp_path, capsys):
     assert "predicted_orth" in data and "predicted_resid" in data
 
 
+@pytest.mark.parametrize("sizes", [
+    ["--alg", "sr"],
+    ["--alg", "mr"],
+    ["--alg", "mr", "--s1", "100", "--s2", "300"],
+])
+def test_cli_bounds_rejects_bad_sizes(tmp_path, capsys, sizes):
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "10",
+          "--out", str(mtx)])  # 200 x 20
+    report = tmp_path / "report.json"
+    assert main(["bounds", "--in", str(mtx), *sizes,
+                 "--json", str(report)]) == 1
+    assert "rcholqr: error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_dispatch_goes_through_module_attributes(tmp_path, monkeypatch):
+    # the benchmark captures R and traces calls by patching these attributes
+    from rcholqr import qr, sketch
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((qr, "cholesky_qr2"), (qr, "sr_cholesky_qr2"),
+                         (qr, "mr_cholesky_qr2"), (sketch, "build_gaussian"),
+                         (sketch, "build_multisketch")):
+        spy(module, name)
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "100",
+          "--out", str(mtx)])
+    cases = [
+        (CHOLQR2, {}, [], ["cholesky_qr2"]),
+        (SR, dict(s1=100), ["--s", "100"], ["build_gaussian", "sr_cholesky_qr2"]),
+        (MR, dict(s1=700, s2=100), ["--s1", "700", "--s2", "100"],
+         ["build_multisketch", "build_gaussian", "mr_cholesky_qr2"]),
+    ]
+    for alg, sizes, flags, expected in cases:
+        calls.clear()
+        run_experiment(ExperimentConfig(generator=small_t1(), algorithm=alg,
+                                        trials=1, **sizes))
+        assert calls == expected, alg
+        calls.clear()
+        assert main(["factorize", "--in", str(mtx), "--alg", alg, *flags]) == 0
+        assert calls == expected, alg
+
+
 def test_cli_verify_sketch(capsys):
     code = main(["verify-sketch", "--kind", "gauss", "--m", "300", "--n", "10",
                  "--s1", "80", "--eps", "0.5", "--trials", "100", "--seed", "0"])

@@ -280,3 +280,14 @@ def test_build_bound_report_constants_pinned():
     for alg, (params, pairs) in expected.items():
         report = bounds.build_bound_report(x, alg, params)
         assert list(report.constants.items()) == pairs, alg
+
+
+def test_build_bound_report_rejects_mismatched_params():
+    x = np.random.default_rng(1).standard_normal((200, 20))
+    with pytest.raises(ParamError):
+        bounds.build_bound_report(x, SR, SketchParams.none())
+    with pytest.raises(ParamError):
+        bounds.build_bound_report(x, MR, SketchParams.multi(0.5, 0.6, 0.5, 0.4,
+                                                           100, 300))
+    with pytest.raises(ParamError):
+        SketchParams("qr")

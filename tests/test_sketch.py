@@ -76,6 +76,14 @@ def test_apply_countsketch_dimension():
         sketch.apply_countsketch(op, np.zeros((11, 2)))
 
 
+def test_apply_gaussian_dimension():
+    op = sketch.build_gaussian(4, 10, 0)
+    with pytest.raises(DimensionError):
+        sketch.apply_gaussian(op, np.ones((11, 2)))
+    with pytest.raises(DimensionError):
+        sketch.apply_gaussian(op, sparse.from_dense(np.ones((9, 2))))
+
+
 def test_gaussian_determinism_and_zero():
     a = sketch.build_gaussian(6, 40, seed=5)
     b = sketch.build_gaussian(6, 40, seed=5)
