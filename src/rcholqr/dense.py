@@ -111,22 +111,38 @@ def _step_major(m: np.ndarray, t0: int, t1: int, out: np.ndarray) -> None:
 
 
 @_small_buffers
-def _reduce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme.
+def _reduce_operand(b: np.ndarray) -> np.ndarray:
+    """Right operand of :func:`_reduce` in step-major order.
+
+    bs[s, j, t] = b[32 t + s, j]; made once per product, however many
+    calls of :func:`_reduce` share it.
+    """
+    k, q = b.shape
+    nb = -(-k // _BLOCK)
+    bs = np.empty((_BLOCK, q, nb))
+    _step_major(b.T, 0, nb, bs)
+    return bs
+
+
+@_small_buffers
+def _reduce(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme, for
+    ``bs = _reduce_operand(b)``.
 
     For s = 0..31 in order, step s of every block is one multiply and one
     add over all blocks of a chunk, so each block partial is its own left
     to right sum; :func:`_carry_tree` then merges the partials.  The
     accumulators are indexed (row, column, block).  In memory the blocks
     are innermost when there are at least as many blocks as output rows,
-    and the rows are innermost otherwise.
+    and the rows are innermost otherwise.  Each output row depends only on
+    its own row of ``a``, so any split of ``a`` into row blocks gives the
+    same bits.  An empty summation axis gives +0.0 sums.
     """
     p, k = a.shape
-    q = b.shape[1]
-    nb = -(-k // _BLOCK)
+    _, q, nb = bs.shape
+    if k == 0 or p == 0 or q == 0:
+        return np.zeros((p, q))
     tail = k - _BLOCK * (nb - 1)  # steps in the last block
-    bs = np.empty((_BLOCK, q, nb))
-    _step_major(b.T, 0, nb, bs)
     if nb >= p:
         rows = max(1, _CHUNK // (q * nb))
         cb = nb
@@ -169,7 +185,7 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(
             f"inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    return _reduce(a, b)
+    return _reduce(a, _reduce_operand(b))
 
 
 def gram(x) -> np.ndarray:
@@ -181,7 +197,7 @@ def gram(x) -> np.ndarray:
     x = as_matrix(x)
     if x.shape[0] < x.shape[1]:
         raise DimensionError(f"need rows >= cols, got shape {x.shape}")
-    g = _reduce(x.T, x)
+    g = _reduce(x.T, _reduce_operand(x))
     lower = np.tril_indices(g.shape[0], -1)
     g[lower] = g.T[lower]
     return g
@@ -193,15 +209,17 @@ def fixed_sum(v) -> float:
     Same kernel and order as :func:`matmul`, signed zeros included.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
-        return 0.0
     return float(fixed_sum_rows(v[:, None])[0])
 
 
 def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
-    """Column-wise deterministic sums of a 2-D array (axis 0): ones @ M."""
+    """Column-wise deterministic sums of a 2-D array (axis 0): ones @ M.
+
+    A column of no entries sums to +0.0, like :func:`fixed_sum`.
+    """
     m = np.asarray(m, dtype=np.float64)
-    return _reduce(np.broadcast_to(1.0, (1, m.shape[0])), m)[0]
+    ones = np.broadcast_to(1.0, (1, m.shape[0]))
+    return _reduce(ones, _reduce_operand(m))[0]
 
 
 def cholesky(g) -> np.ndarray:

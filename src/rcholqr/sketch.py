@@ -4,10 +4,20 @@ Operators are built from ``numpy``'s counter-based Philox generator, so a
 seed fully determines an operator independently of platform or call order.
 The Gaussian entries are scaled by 1/sqrt(s), which makes E||Omega x||^2 =
 ||x||^2 and is what the subspace-embedding guarantees require.
+
+A Gaussian operator is its seed and shape only.  :func:`apply_gaussian`
+draws it from the seed in row blocks, in stream order, and never stores
+it; consecutive draws continue one Philox stream, so the blocks are
+bitwise the rows of the one-shot ``standard_normal((s, m))``.  Each
+output row is reduced from its own row of the operator alone, so the
+result bits depend neither on the block size nor on which worker reduces
+a block.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from math import floor, sqrt
 
@@ -17,6 +27,7 @@ from . import dense, sparse
 from .errors import DimensionError, ParamError
 
 _MASK64 = (1 << 64) - 1
+_DRAW = 1 << 20  # Gaussian entries per drawn row block (8 MiB)
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -45,10 +56,16 @@ class CountSketchOp:
 
 @dataclass
 class GaussianSketchOp:
+    """s x m matrix of Philox normals over sqrt(s), drawn only when applied."""
+
     out_rows: int
     in_rows: int
-    entries: np.ndarray
     seed: int
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The whole operator, drawn at once (test and measurement aid)."""
+        return _draw(_philox(self.seed), self.out_rows, self)
 
 
 @dataclass
@@ -74,10 +91,21 @@ class EmbeddingParams:
     p_f: float
 
 
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _draw(rng: np.random.Generator, rows: int, op: GaussianSketchOp) -> np.ndarray:
+    """The next ``rows`` rows of ``op`` from its stream ``rng``."""
+    block = rng.standard_normal((rows, op.in_rows))
+    block /= sqrt(op.out_rows)
+    return block
+
+
 def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
     if not 1 <= s1 <= m:
         raise ParamError(f"need 1 <= s1 <= m, got s1={s1}, m={m}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     row_of = rng.integers(0, s1, size=m, dtype=np.int64)
     sign_of = 2.0 * rng.integers(0, 2, size=m, dtype=np.int64) - 1.0
     return CountSketchOp(s1, m, row_of, sign_of, seed)
@@ -86,9 +114,7 @@ def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
 def build_gaussian(s: int, m_in: int, seed: int) -> GaussianSketchOp:
     if not 1 <= s <= m_in:
         raise ParamError(f"need 1 <= s <= m_in, got s={s}, m_in={m_in}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    entries = rng.standard_normal((s, m_in)) / sqrt(s)
-    return GaussianSketchOp(s, m_in, entries, seed)
+    return GaussianSketchOp(s, m_in, seed)
 
 
 def build_multisketch(s1: int, s2: int, m: int, seed: int) -> MultiSketchOp:
@@ -123,11 +149,92 @@ def apply_countsketch(op: CountSketchOp, x) -> np.ndarray:
     return out
 
 
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_pool() -> futures.ThreadPoolExecutor:
+    """The one helper thread of :func:`apply_gaussian`, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="rcholqr-sketch")
+        return _helper
+
+
+def _block_rows(s: int, m_in: int) -> int:
+    """Rows per drawn block of an s x m_in Gaussian operator.
+
+    A function of the shape only.  Blocks hold at most about ``_DRAW``
+    entries and split the rows evenly; an operator of at most ``_DRAW``
+    entries is one block, which the caller reduces alone.  The kernel's
+    inner loop is the longer of a block's rows and its m_in / 32 summation
+    blocks, and their product is near _DRAW / 32, so that loop never gets
+    shorter than about 90: 500 x 20000 splits into ten 50-row blocks with
+    625 summation blocks innermost, and 500 x 2800 into two 250-row blocks
+    with the rows innermost.
+    """
+    rows = max(1, _DRAW // m_in)
+    count = -(-s // rows)
+    return -(-s // count)
+
+
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
-    """Omega X; ``dense.matmul`` validates X and its row count."""
+    """Omega X with Omega drawn from its seed one row block at a time.
+
+    Two workers, the caller and one helper thread, take row blocks in turn.
+    Each draws its block under a lock, so the stream is read in row order
+    whoever takes a block, checks it is finite, and reduces it against X
+    into its own rows of the result.  The bits equal
+    ``dense.matmul(op.entries, X)``.  An error in either worker stops both
+    and is raised here.
+    """
     if isinstance(x, sparse.CSRMatrix):
         x = sparse.to_dense(x)
-    return dense.matmul(op.entries, x)
+    x = dense.as_matrix(x, "right operand")
+    if x.shape[0] != op.in_rows:
+        raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
+    s = op.out_rows
+    rows = _block_rows(s, op.in_rows)
+    bs = dense._reduce_operand(x)
+    out = np.empty((s, x.shape[1]))
+    rng = _philox(op.seed)
+    lock = threading.Lock()
+    next_row, stop = 0, False
+
+    def work():
+        nonlocal next_row, stop
+        try:
+            while True:
+                with lock:
+                    i0 = next_row
+                    if stop or i0 == s:
+                        return
+                    next_row = i1 = min(s, i0 + rows)
+                    block = _draw(rng, i1 - i0, op)
+                if not np.isfinite(block).all():
+                    raise ValueError("Gaussian operator contains non-finite entries")
+                out[i0:i1] = dense._reduce(block, bs)
+                del block  # before the next draw, so a worker holds one block
+        except BaseException:
+            stop = True
+            raise
+
+    if rows >= s:
+        work()
+        return out
+    helper = _helper_pool().submit(work)
+    error = None
+    try:
+        work()
+    finally:
+        # a helper that never started (busy, or lost in a fork) is dropped
+        if not helper.cancel():
+            error = helper.exception()
+    if error is not None:
+        raise error
+    return out
 
 
 def apply_multi(op: MultiSketchOp, x) -> np.ndarray:
@@ -141,7 +248,7 @@ def densify(op) -> np.ndarray:
         out[op.row_of, np.arange(op.in_rows)] = op.sign_of
         return out
     if isinstance(op, GaussianSketchOp):
-        return op.entries.copy()
+        return op.entries
     if isinstance(op, MultiSketchOp):
         return dense.matmul(densify(op.gauss), densify(op.count))
     raise TypeError(f"not a sketch operator: {type(op)!r}")
@@ -211,7 +318,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     else:
         lo, hi = (float(e) for e in eps)
     x = sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix) else dense.as_matrix(x)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     coeff = rng.standard_normal((x.shape[1], trials))
     vectors = dense.matmul(x, coeff)
     images = _apply_any(op, vectors)

@@ -287,6 +287,13 @@ def test_fixed_sum_keeps_negative_zero():
         assert np.all(np.signbit(dense.fixed_sum_rows(np.full((k, 3), -0.0))))
 
 
+def test_fixed_sum_rows_empty_axes():
+    got = dense.fixed_sum_rows(np.zeros((0, 3)))
+    assert got.shape == (3,) and np.all(got == 0.0) and not np.any(np.signbit(got))
+    assert dense.fixed_sum(np.zeros(0)) == 0.0
+    assert dense.fixed_sum_rows(np.zeros((5, 0))).shape == (0,)
+
+
 def test_fixed_sum_rows_matches_columns():
     rng = np.random.default_rng(15)
     m = rng.standard_normal((97, 5))

@@ -1,7 +1,11 @@
+import threading
+import tracemalloc
+from math import sqrt
+
 import numpy as np
 import pytest
 
-from rcholqr import norms, sketch, sparse
+from rcholqr import dense, norms, sketch, sparse
 from rcholqr.errors import DimensionError, ParamError
 
 
@@ -115,6 +119,137 @@ def test_gaussian_two_norm_probabilistic_bound():
     assert hits >= 190
 
 
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("s, m", [(6, 40), (500, 2800), (60, 20000)])
+def test_gaussian_entries_are_the_one_shot_draw(s, m):
+    op = sketch.build_gaussian(s, m, seed=21)
+    ref = np.random.Generator(np.random.Philox(key=21)).standard_normal((s, m)) / sqrt(s)
+    assert _same_bits(op.entries, ref)
+    assert _same_bits(sketch.densify(op), ref)
+
+
+@pytest.mark.parametrize("s, m", [
+    (7, 90),       # below one block
+    (500, 2800),   # two 250-row blocks; rows are the kernel's inner loop
+    (130, 20000),  # 44-row blocks, the last short; blocks are the inner loop
+    (500, 20000),  # ten 50-row blocks
+])
+def test_apply_gaussian_matches_matmul_of_entries(s, m):
+    rng = np.random.default_rng(s + m)
+    x = rng.standard_normal((m, 4))
+    op = sketch.build_gaussian(s, m, seed=s)
+    assert _same_bits(sketch.apply_gaussian(op, x), dense.matmul(op.entries, x))
+
+
+def test_gaussian_block_rows_rule():
+    assert sketch._block_rows(500, 2800) == 250
+    assert sketch._block_rows(500, 20000) == 50
+    assert sketch._block_rows(130, 20000) == 44
+    assert sketch._block_rows(7, 90) == 7
+    for s, m in [(1, 1), (97, 300000), (2000, 2000), (499, 20001)]:
+        rows = sketch._block_rows(s, m)
+        count = -(-s // rows)
+        assert 1 <= rows <= s and (count == 1 or rows * m <= sketch._DRAW)
+        assert rows * (count - 1) < s
+
+
+@pytest.mark.parametrize("draw, blocks", [(1, [1] * 17), (7 * 90, [6, 6, 5]), (10 * 90, [9, 8])])
+def test_apply_gaussian_small_blocks_keep_bits(monkeypatch, draw, blocks):
+    monkeypatch.setattr(sketch, "_DRAW", draw)
+    drawn = []
+    draw_rows = sketch._draw
+
+    def counted(rng, rows, op):
+        drawn.append(rows)
+        return draw_rows(rng, rows, op)
+
+    monkeypatch.setattr(sketch, "_draw", counted)
+    rng = np.random.default_rng(draw)
+    x = rng.standard_normal((90, 3))
+    op = sketch.build_gaussian(17, 90, seed=draw)
+    got = sketch.apply_gaussian(op, x)
+    assert drawn == blocks
+    assert _same_bits(got, dense.matmul(op.entries, x))
+
+
+def test_apply_gaussian_sparse_input_matches_dense():
+    rng = np.random.default_rng(22)
+    d = (rng.random((3000, 5)) < 0.05) * rng.standard_normal((3000, 5))
+    op = sketch.build_gaussian(500, 3000, seed=23)
+    got = sketch.apply_gaussian(op, sparse.from_dense(d))
+    assert _same_bits(got, dense.matmul(op.entries, d))
+
+
+def test_apply_gaussian_non_finite_block_raises(monkeypatch):
+    draw = sketch._draw
+    calls = []
+
+    def poisoned(rng, rows, op):
+        block = draw(rng, rows, op)
+        calls.append(rows)
+        if len(calls) == 2:
+            block[-1, 0] = np.nan
+        return block
+
+    monkeypatch.setattr(sketch, "_draw", poisoned)
+    op = sketch.build_gaussian(500, 20000, seed=24)
+    with pytest.raises(ValueError, match="non-finite"):
+        sketch.apply_gaussian(op, np.ones((20000, 2)))
+    assert 2 <= len(calls) < 10  # both workers stopped early
+
+
+def test_apply_gaussian_rejects_non_finite_input():
+    op = sketch.build_gaussian(4, 10, 0)
+    x = np.ones((10, 2))
+    x[3, 1] = np.inf
+    with pytest.raises(ValueError):
+        sketch.apply_gaussian(op, x)
+
+
+def test_apply_gaussian_keeps_one_helper_thread():
+    x = np.ones((2800, 2))
+    op = sketch.build_gaussian(500, 2800, seed=25)
+    sketch.apply_gaussian(op, x)
+    before = threading.active_count()
+    for _ in range(20):
+        sketch.apply_gaussian(op, x)
+    assert threading.active_count() == before
+    helpers = [t for t in threading.enumerate() if t.name.startswith("rcholqr-sketch")]
+    assert len(helpers) == 1
+
+
+def test_apply_gaussian_does_not_wait_for_a_busy_helper():
+    # a helper that never takes its share (busy here; absent in a forked
+    # child) leaves every block to the caller
+    release = threading.Event()
+    busy = sketch._helper_pool().submit(release.wait, 60)
+    try:
+        x = np.random.default_rng(28).standard_normal((2800, 3))
+        op = sketch.build_gaussian(500, 2800, seed=29)
+        got = sketch.apply_gaussian(op, x)
+        returned_first = not busy.done()
+    finally:
+        release.set()
+    assert returned_first
+    assert _same_bits(got, dense.matmul(op.entries, x))
+
+
+def test_gaussian_memory_is_bounded():
+    # the parent's stored operator alone was 80 MB (500 x 20000 float64)
+    x = np.random.default_rng(26).standard_normal((20000, 20))
+    tracemalloc.start()
+    try:
+        op = sketch.build_gaussian(500, 20000, seed=27)
+        sketch.apply_gaussian(op, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_multisketch_build_and_apply():
     rng = np.random.default_rng(7)
     op = sketch.build_multisketch(40, 12, 200, seed=8)
@@ -175,7 +310,7 @@ def test_combine_embedding_symmetric():
 def test_verify_embedding_identity_op():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((30, 4))
-    identity = sketch.GaussianSketchOp(30, 30, np.eye(30), seed=0)
+    identity = sketch.CountSketchOp(30, 30, np.arange(30), np.ones(30), seed=0)
     assert sketch.verify_embedding(identity, x, 0.25, trials=50, seed=1) == 1.0
 
 
