@@ -2,22 +2,28 @@
 
 Matrices are plain C-ordered float64 ``numpy`` arrays.  Every reduction in
 ``matmul``, ``gram``, ``fixed_sum`` and ``fixed_sum_rows`` (and so in the
-norms and the Gaussian sketch built on them) runs through one kernel,
-:func:`_reduce`, with one deterministic order: the summation axis is cut
-into 32-wide blocks, each block is summed left to right, and the block
-partials are merged by a carry-pairwise tree (neighbours added pairwise, an
-odd last partial carried up unchanged) whose shape depends only on the
-length of the summation axis.  Results are therefore bit-reproducible
-across runs, thread counts, and BLAS builds, while rounding error grows
-like the block size plus the tree depth instead of linearly in the reduced
-dimension.
+norms and the Gaussian sketch built on them) runs in one deterministic
+order: the summation axis is cut into 32-wide blocks, each block is summed
+left to right, and the block partials are merged by a carry-pairwise tree
+(neighbours added pairwise, an odd last partial carried up unchanged) whose
+shape depends only on the length of the summation axis.  Results are
+therefore bit-reproducible across runs, thread counts, and BLAS builds,
+while rounding error grows like the block size plus the tree depth instead
+of linearly in the reduced dimension.
 
-The kernel takes step s of every block at once, as one vectorized multiply
-and add over the blocks.  Its memory layout is chosen from the operand
-shapes alone: the longer of the output-row count and the block count is
-the innermost axis.  It works in chunks that fit in cache; the left
-operand is copied chunk by chunk, the right operand once.  No layout or
-chunk size changes a bit of the result.
+The kernel, :func:`_reduce`, takes step s of every block at once, as one
+vectorized multiply and add over the blocks.  Its memory layout is chosen
+from the operand shapes alone: the longer of the output-row count and the
+block count is the innermost axis.  It works in chunks that fit in cache;
+the left operand is copied chunk by chunk, the right operand once.  No
+layout or chunk size changes a bit of the result.
+
+``gram`` runs the same steps on column pairs instead of rows times
+columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
+each unordered pair is formed once (the d = n/2 pairs twice when n is
+even), with the partials indexed (d, i, block) and the shifted operand a
+strided view of one step-major copy of X.  Products commute bitwise, so
+every entry equals ``matmul(X.T, X)`` at (min(i, j), max(i, j)).
 """
 
 from __future__ import annotations
@@ -188,18 +194,62 @@ def matmul(a, b) -> np.ndarray:
     return _reduce(a, _reduce_operand(b))
 
 
+@_small_buffers
 def gram(x) -> np.ndarray:
-    """X^T X, exactly symmetric.
+    """X^T X, exactly symmetric, each column pair formed once.
 
-    The kernel forms matmul(X.T, X) without copying X transposed; its upper
-    triangle is kept bit for bit and mirrored into the lower one.
+    Column i is paired with column (i + d) mod n for d = 0..n//2 (see the
+    module doc): (n//2 + 1) n products per row of X instead of n^2.  A
+    chunk of X is copied step-major once, with its first n//2 columns
+    repeated after the last, so the operand shifted by d is one strided
+    view of the copy.  Step s of every block is one multiply and one add
+    over acc[d, i, block], and :func:`_carry_tree` merges the partials, as
+    in :func:`_reduce`; as there, the blocks are innermost in memory when
+    there are at least as many blocks as columns, the columns otherwise.
+    Each value is written to (min(i, j), max(i, j)) and its mirror.
     """
     x = as_matrix(x)
-    if x.shape[0] < x.shape[1]:
+    k, n = x.shape
+    if k < n:
         raise DimensionError(f"need rows >= cols, got shape {x.shape}")
-    g = _reduce(x.T, _reduce_operand(x))
-    lower = np.tril_indices(g.shape[0], -1)
-    g[lower] = g.T[lower]
+    half = n // 2
+    nb = -(-k // _BLOCK)
+    tail = k - _BLOCK * (nb - 1)  # steps in the last block
+    # equal chunks of blocks, a step of each at most _CHUNK products
+    chunks = -(-nb // max(1, _CHUNK // ((half + 1) * n)))
+    cb = -(-nb // chunks)
+    if nb >= n:  # blocks innermost
+        xs = np.empty((_BLOCK, n + half, cb))
+        acc = np.empty((half + 1, n, nb))
+        tmp = np.empty((half + 1, n, cb))
+    else:  # columns innermost
+        xs = np.empty((_BLOCK, cb, n + half)).transpose(0, 2, 1)
+        acc = np.empty((half + 1, nb, n)).transpose(0, 2, 1)
+        tmp = np.empty((half + 1, cb, n)).transpose(0, 2, 1)
+    # shifted[s, d, i, t] = xs[s, i + d, t]
+    by_step, row, block = xs.strides
+    shifted = np.lib.stride_tricks.as_strided(
+        xs, (_BLOCK, half + 1, n, cb), (by_step, row, row, block))
+    for t0 in range(0, nb, cb):
+        t1 = min(nb, t0 + cb)
+        w = t1 - t0
+        _step_major(x.T, t0, t1, xs[:, :n, :w])
+        xs[:, n:, :w] = xs[:, :half, :w]
+        for s in range(_BLOCK):
+            # the ragged last block stops after ``tail`` steps
+            c = w - (t1 == nb and s >= tail)
+            ac = acc[:, :, t0:t0 + c]
+            prod = ac if s == 0 else tmp[:, :, :c]
+            np.multiply(xs[s, None, :n, :c], shifted[s, :, :, :c], out=prod)
+            if s:
+                np.add(ac, prod, out=ac)
+    pairs = _carry_tree(acc)
+    i = np.arange(n)
+    j = (i + np.arange(half + 1)[:, None]) % n
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    g = np.empty((n, n))
+    g[lo, hi] = pairs
+    g[hi, lo] = pairs
     return g
 
 

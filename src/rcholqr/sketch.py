@@ -308,6 +308,8 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     column space of ``x``, and counts how often
     sqrt(1 - eps_lo) ||Xc|| <= ||Op Xc|| <= sqrt(1 + eps_hi) ||Xc||.
     ``eps`` is a scalar, or an (eps_lo, eps_hi) pair for composed sketches.
+    eps_lo must lie in [0, 1] and eps_hi must be non-negative; eps_hi > 1
+    is legal, since composed sketches reach it.
     """
     if trials < 1:
         raise ParamError("need trials >= 1")
@@ -317,6 +319,8 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
         lo = hi = float(eps)
     else:
         lo, hi = (float(e) for e in eps)
+    if not (0.0 <= lo <= 1.0 and hi >= 0.0):
+        raise ParamError(f"need 0 <= eps_lo <= 1 and eps_hi >= 0, got ({lo}, {hi})")
     x = sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix) else dense.as_matrix(x)
     rng = _philox(seed)
     coeff = rng.standard_normal((x.shape[1], trials))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,19 +181,57 @@ def enc_beta(s: CSRMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 _MM_BANNER = "%%matrixmarket"
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def read_matrix_market(path) -> CSRMatrix:
     """Read a "coordinate real general" Matrix Market file into CSR.
 
     One-based indices become zero-based, duplicate entries are summed, and
-    entries are sorted within each row.
+    entries are sorted within each row.  The entries are parsed by one
+    ``np.loadtxt`` call streamed from the file; when that fails, or finds
+    a wrong entry count or index, the entries are re-read line by line to
+    report the offending line.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        rows, cols, nnz, lineno = _read_mm_header(handle)
+        start = handle.tell()
+        arrays = _load_mm_entries(handle, rows, cols, nnz) if nnz else None
+        if arrays is None:
+            handle.seek(start)
+            arrays = _scan_mm_entries(handle, rows, cols, nnz, lineno)
+    return CSRMatrix(rows, cols, *arrays)
+
+
+def _coo_to_csr(rows: int, ii, jj, vv):
+    """(row_ptr, col_idx, values) of zero-based entries (ii, jj, vv).
+
+    Entries are sorted by row, then column, and duplicates are summed in
+    file order.  Strictly sorted input, what :func:`write_matrix_market`
+    writes, skips the sort: it would change nothing.
+    """
+    unsorted = not np.all((ii[1:] > ii[:-1])
+                          | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])))
+    if unsorted:
+        order = np.lexsort((jj, ii))
+        ii, jj, vv = ii[order], jj[order], vv[order]
+        new_group = np.empty(ii.size, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1])
+        starts = np.flatnonzero(new_group)
+        vv = np.add.reduceat(vv, starts)
+        ii, jj = ii[starts], jj[starts]
+    row_ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=rows), out=row_ptr[1:])
+    return row_ptr, np.ascontiguousarray(jj), np.ascontiguousarray(vv)
+
+
+def _read_mm_header(handle) -> tuple[int, int, int, int]:
+    """Banner and size line: (rows, cols, nnz, line number of the size line)."""
+    first = handle.readline()
+    if not first:
         raise ParseError("empty file", 1)
-    banner = lines[0].split()
+    banner = first.split()
     if len(banner) != 5 or banner[0].lower() != _MM_BANNER:
         raise ParseError("expected '%%MatrixMarket matrix coordinate real general' banner", 1)
     obj, fmt, fld, sym = (tok.lower() for tok in banner[1:])
@@ -201,12 +240,14 @@ def read_matrix_market(path) -> CSRMatrix:
             f"unsupported variant '{obj} {fmt} {fld} {sym}'; "
             "only 'matrix coordinate real general' is accepted", 1)
     lineno = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
+    while True:
+        raw = handle.readline()
+        if not raw:
+            raise ParseError("missing size line", lineno)
+        lineno += 1
         text = raw.strip()
         if text and not text.startswith("%"):
             break
-    else:
-        raise ParseError("missing size line", len(lines))
     parts = text.split()
     if len(parts) != 3:
         raise ParseError("size line must be 'rows cols nnz'", lineno)
@@ -216,12 +257,44 @@ def read_matrix_market(path) -> CSRMatrix:
         raise ParseError("size line must contain integers", lineno) from None
     if rows < 1 or cols < 1 or nnz < 0:
         raise ParseError("invalid matrix dimensions", lineno)
+    return rows, cols, nnz, lineno
 
+
+def _load_mm_entries(handle, rows: int, cols: int, nnz: int):
+    """CSR arrays of the remaining lines, parsed by one ``np.loadtxt``
+    call; None when a line does not parse or the count or an index is
+    wrong.
+
+    Lines starting with '%' are dropped before parsing and ``comments`` is
+    off, so a '%' after an entry is an error, as in the line scan.
+    """
+    body = (raw for raw in handle if not raw.lstrip().startswith("%"))
+    try:
+        with warnings.catch_warnings():
+            # a body with no entries warns; the line scan reports it
+            warnings.simplefilter("ignore", UserWarning)
+            rec = np.loadtxt(body, dtype=_MM_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j = rec["i"], rec["j"]
+    if (rec.size != nnz or i.min() < 1 or i.max() > rows
+            or j.min() < 1 or j.max() > cols):
+        return None
+    i -= 1
+    j -= 1
+    return _coo_to_csr(rows, i, j, rec["v"])
+
+
+def _scan_mm_entries(handle, rows: int, cols: int, nnz: int, lineno: int):
+    """CSR arrays of the remaining lines, read one line at a time; raises
+    :class:`ParseError` at the first bad line.  ``lineno`` is the number
+    of the line before the first one read.
+    """
     ii = np.empty(nnz, dtype=np.int64)
     jj = np.empty(nnz, dtype=np.int64)
     vv = np.empty(nnz, dtype=np.float64)
     seen = 0
-    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+    for lineno, raw in enumerate(handle, start=lineno + 1):
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
@@ -239,20 +312,8 @@ def read_matrix_market(path) -> CSRMatrix:
         ii[seen], jj[seen], vv[seen] = i - 1, j - 1, val
         seen += 1
     if seen != nnz:
-        raise ParseError(f"expected {nnz} entries, found {seen}", len(lines))
-
-    order = np.lexsort((jj, ii))
-    ii, jj, vv = ii[order], jj[order], vv[order]
-    if nnz:
-        new_group = np.empty(nnz, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1])
-        starts = np.flatnonzero(new_group)
-        vv = np.add.reduceat(vv, starts)
-        ii, jj = ii[starts], jj[starts]
-    row_ptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ii, minlength=rows), out=row_ptr[1:])
-    return CSRMatrix(rows, cols, row_ptr, jj, vv)
+        raise ParseError(f"expected {nnz} entries, found {seen}", lineno)
+    return _coo_to_csr(rows, ii, jj, vv)
 
 
 def write_matrix_market(s: CSRMatrix, path) -> None:

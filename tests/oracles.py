@@ -52,6 +52,17 @@ def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def gram_reference(x: np.ndarray) -> np.ndarray:
+    """The upper triangle of matmul_reference(x.T, x), mirrored.
+
+    Must agree bit for bit with rcholqr.dense.gram.
+    """
+    g = matmul_reference(x.T, x)
+    lower = np.tril_indices(g.shape[0], -1)
+    g[lower] = g.T[lower]
+    return g
+
+
 def trisolve_reference(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Column-by-column replay of the production triangular solve.
 

@@ -244,6 +244,16 @@ def test_cli_verify_sketch(capsys):
     assert frac >= 0.4
 
 
+@pytest.mark.parametrize("eps", ["1.5", "-0.5", "nan"])
+def test_cli_verify_sketch_bad_eps_exits_one(capsys, eps):
+    code = main(["verify-sketch", "--kind", "gauss", "--m", "100", "--n", "5",
+                 "--s1", "30", "--eps", eps, "--trials", "10", "--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "rcholqr: error:" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["factorize", "--whatever"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from rcholqr.errors import (
 )
 from rcholqr.generators import GeneratorSpec
 
-from oracles import matmul_compensated, matmul_reference, trisolve_reference
+from oracles import (
+    gram_reference,
+    matmul_compensated,
+    matmul_reference,
+    trisolve_reference,
+)
 
 
 def test_matmul_identity():
@@ -125,6 +132,54 @@ def test_gram_bitwise_symmetric():
     x = rng.standard_normal((150, 9))
     g = dense.gram(x)
     assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 21])
+@pytest.mark.parametrize("m", ["n", 31, 32, 33, 417])
+def test_gram_matches_reference(monkeypatch, n, m):
+    # Odd and even n (the d = n/2 pairs come twice when n is even), one
+    # partial block, exact blocks and a ragged last block; then chunks of
+    # a few blocks and tiles of 3, so chunks split the block range and the
+    # last chunk is short.
+    m = n if m == "n" else m
+    rng = np.random.default_rng(100 * n + m)
+    x = rng.standard_normal((m, n)) * np.exp2(rng.integers(-30, 30, n))
+    want = gram_reference(x)
+    assert _same_bits(dense.gram(x), want)
+    monkeypatch.setattr(dense, "_CHUNK", 8)
+    monkeypatch.setattr(dense, "_TILE", 3)
+    assert _same_bits(dense.gram(x), want)
+
+
+def test_gram_strided_input():
+    rng = np.random.default_rng(6)
+    xt = rng.standard_normal((7, 417))
+    got = dense.gram(xt.T)
+    assert _same_bits(got, gram_reference(xt.T))
+    assert got.flags.c_contiguous
+    x = rng.standard_normal((300, 10))
+    assert _same_bits(dense.gram(x[::3, ::2]), gram_reference(x[::3, ::2]))
+
+
+def test_gram_matches_matmul_on_t1():
+    x = load_input(ExperimentConfig(generator=GeneratorSpec("t1", sigma=1e-4),
+                                    algorithm=CHOLQR2))
+    want = dense.matmul(x.T, x)
+    lower = np.tril_indices(x.shape[1], -1)
+    want[lower] = want.T[lower]
+    assert _same_bits(dense.gram(x), want)
+
+
+def test_gram_peak_memory_below_input():
+    # The kernel copies X step-major one chunk at a time, never whole.
+    x = np.random.default_rng(7).standard_normal((200000, 20))
+    tracemalloc.start()
+    try:
+        dense.gram(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
 
 
 def test_gram_requires_tall():

@@ -338,6 +338,21 @@ def test_verify_embedding_multi_uses_interval():
     assert frac >= 0.4
 
 
+@pytest.mark.parametrize("eps", [-0.1, 1.5, np.nan, (1.5, 0.2), (-0.1, 0.5),
+                                 (0.2, -0.1), (np.nan, 0.5), (0.5, np.nan)])
+def test_verify_embedding_rejects_bad_eps(eps):
+    x = np.random.default_rng(19).standard_normal((40, 3))
+    op = sketch.build_gaussian(20, 40, seed=20)
+    with pytest.raises(ParamError):
+        sketch.verify_embedding(op, x, eps, trials=10, seed=21)
+
+
+def test_verify_embedding_accepts_eps_hi_above_one():
+    x = np.random.default_rng(22).standard_normal((40, 3))
+    op = sketch.build_gaussian(20, 40, seed=23)
+    assert sketch.verify_embedding(op, x, (1.0, 3.0), trials=50, seed=24) == 1.0
+
+
 def test_mix_seed_is_stable_and_spread():
     assert sketch.mix_seed(0, 0) == sketch.mix_seed(0, 0)
     seen = {sketch.mix_seed(12345, i) for i in range(1000)}

@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from rcholqr import sparse
 from rcholqr.errors import DimensionError, EncUndefined, ParamError, ParseError
-from rcholqr.generators import GeneratorSpec, make_t1, make_t2
+from rcholqr.generators import GeneratorSpec, generate, make_t1, make_t2
 
 
 def csr(dense_rows):
@@ -206,6 +209,65 @@ def test_matrix_market_malformed_entry(tmp_path):
     with pytest.raises(ParseError) as info:
         sparse.read_matrix_market(path)
     assert info.value.line == 3
+
+
+_BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("bad", ["2 2 1.0 % note", "1.0 2 1.0", "2 2"])
+def test_matrix_market_bad_entry_line(tmp_path, bad):
+    # A blank and a comment line come before the bad one, which is line 6.
+    path = tmp_path / "bad.mtx"
+    path.write_text(_BANNER + "2 2 3\n1 1 1.0\n\n% c\n" + bad + "\n2 1 1.0\n")
+    with pytest.raises(ParseError) as info:
+        sparse.read_matrix_market(path)
+    assert info.value.line == 6
+
+
+def test_matrix_market_blank_and_comment_lines_in_body(tmp_path):
+    path = tmp_path / "body.mtx"
+    path.write_text(_BANNER + "% head\n2 3 3\n\n1 3 2.5\n  % indented\n"
+                    "   \n2 1 -1.0\n%\n1 1 0.5\n\n")
+    s = sparse.read_matrix_market(path)
+    assert np.array_equal(sparse.to_dense(s), [[0.5, 0.0, 2.5], [-1.0, 0.0, 0.0]])
+
+
+def test_matrix_market_no_entries_reads_without_warning(tmp_path):
+    path = tmp_path / "empty.mtx"
+    path.write_text(_BANNER + "3 2 0\n% nothing\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sparse.read_matrix_market(path)
+    assert (s.rows, s.cols, s.nnz) == (3, 2, 0)
+
+
+@pytest.fixture(scope="module")
+def dense_family_file(tmp_path_factory):
+    x = sparse.from_dense(generate(GeneratorSpec("dense", sigma=1.25e-9, seed=3)))
+    path = tmp_path_factory.mktemp("mm") / "dense.mtx"
+    sparse.write_matrix_market(x, path)
+    return x, path
+
+
+def test_matrix_market_dense_family_round_trip(dense_family_file):
+    x, path = dense_family_file
+    assert x.nnz == 400000
+    got = sparse.read_matrix_market(path)
+    assert got == x
+    assert got.values.tobytes() == x.values.tobytes()
+
+
+def test_matrix_market_read_peak_memory(dense_family_file):
+    # The entries are parsed into one 24-byte record each (9.6 MB here);
+    # the file's text is never held whole.
+    _, path = dense_family_file
+    tracemalloc.start()
+    try:
+        sparse.read_matrix_market(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_max_abs_and_enc_beta():
