@@ -22,7 +22,9 @@ layout or chunk size changes a bit of the result.
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
 each unordered pair is formed once (the d = n/2 pairs twice when n is
 even), with the partials indexed (d, i, block) and the shifted operand a
-strided view of one step-major copy of X.  Products commute bitwise, so
+strided view of one step-major copy of X.  The blocks are taken in
+groups of a power of two, each a whole subtree of the carry tree, so only
+one group's partials are held at a time.  Products commute bitwise, so
 every entry equals ``matmul(X.T, X)`` at (min(i, j), max(i, j)).
 """
 
@@ -203,53 +205,75 @@ def gram(x) -> np.ndarray:
     chunk of X is copied step-major once, with its first n//2 columns
     repeated after the last, so the operand shifted by d is one strided
     view of the copy.  Step s of every block is one multiply and one add
-    over acc[d, i, block], and :func:`_carry_tree` merges the partials, as
-    in :func:`_reduce`; as there, the blocks are innermost in memory when
-    there are at least as many blocks as columns, the columns otherwise.
-    Each value is written to (min(i, j), max(i, j)) and its mirror.
+    over acc[d, i, block], as in :func:`_reduce`.  The blocks are worked
+    on in groups of 2^L, the partials of a group at most ``_ACC`` entries
+    (or one block).  A group is a whole subtree of the carry tree, so
+    :func:`_carry_tree` merges each group to one partial, and the group
+    partials are merged as a binary counter merges them, which is the
+    same tree.  The blocks are innermost in memory when a chunk has at
+    least as many blocks as X has columns, the columns otherwise.  Each
+    value is written to (min(i, j), max(i, j)) and its mirror.
     """
     x = as_matrix(x)
     k, n = x.shape
     if k < n:
         raise DimensionError(f"need rows >= cols, got shape {x.shape}")
     half = n // 2
+    pairs = (half + 1) * n
     nb = -(-k // _BLOCK)
     tail = k - _BLOCK * (nb - 1)  # steps in the last block
-    # equal chunks of blocks, a step of each at most _CHUNK products
-    chunks = -(-nb // max(1, _CHUNK // ((half + 1) * n)))
-    cb = -(-nb // chunks)
-    if nb >= n:  # blocks innermost
+    # groups of a power of two of blocks, the partials of each at most
+    # _ACC entries (or one block), cut into equal chunks whose steps are
+    # at most _CHUNK products each
+    group = min(nb, 1 << max(0, (_ACC // pairs).bit_length() - 1))
+    chunks = -(-group // max(1, _CHUNK // pairs))
+    cb = -(-group // chunks)
+    if cb >= n:  # blocks innermost
         xs = np.empty((_BLOCK, n + half, cb))
-        acc = np.empty((half + 1, n, nb))
+        acc = np.empty((half + 1, n, group))
         tmp = np.empty((half + 1, n, cb))
     else:  # columns innermost
         xs = np.empty((_BLOCK, cb, n + half)).transpose(0, 2, 1)
-        acc = np.empty((half + 1, nb, n)).transpose(0, 2, 1)
+        acc = np.empty((half + 1, group, n)).transpose(0, 2, 1)
         tmp = np.empty((half + 1, cb, n)).transpose(0, 2, 1)
     # shifted[s, d, i, t] = xs[s, i + d, t]
     by_step, row, block = xs.strides
     shifted = np.lib.stride_tricks.as_strided(
         xs, (_BLOCK, half + 1, n, cb), (by_step, row, row, block))
-    for t0 in range(0, nb, cb):
-        t1 = min(nb, t0 + cb)
-        w = t1 - t0
-        _step_major(x.T, t0, t1, xs[:, :n, :w])
-        xs[:, n:, :w] = xs[:, :half, :w]
-        for s in range(_BLOCK):
-            # the ragged last block stops after ``tail`` steps
-            c = w - (t1 == nb and s >= tail)
-            ac = acc[:, :, t0:t0 + c]
-            prod = ac if s == 0 else tmp[:, :, :c]
-            np.multiply(xs[s, None, :n, :c], shifted[s, :, :, :c], out=prod)
-            if s:
-                np.add(ac, prod, out=ac)
-    pairs = _carry_tree(acc)
+    stack = []  # (level, merged group partials), as in a binary counter
+    for g0 in range(0, nb, group):
+        g1 = min(nb, g0 + group)
+        for t0 in range(g0, g1, cb):
+            t1 = min(g1, t0 + cb)
+            w = t1 - t0
+            _step_major(x.T, t0, t1, xs[:, :n, :w])
+            xs[:, n:, :w] = xs[:, :half, :w]
+            for s in range(_BLOCK):
+                # the ragged last block stops after ``tail`` steps
+                c = w - (t1 == nb and s >= tail)
+                ac = acc[:, :, t0 - g0:t0 - g0 + c]
+                prod = ac if s == 0 else tmp[:, :, :c]
+                np.multiply(xs[s, None, :n, :c], shifted[s, :, :, :c], out=prod)
+                if s:
+                    np.add(ac, prod, out=ac)
+        # a group of 2^L blocks is a whole subtree of the carry tree; the
+        # merge of a one-block group is a view of acc, hence the copy
+        part = _carry_tree(acc[:, :, :g1 - g0]).copy()
+        level = 0
+        while stack and stack[-1][0] == level:
+            part = stack.pop()[1] + part
+            level += 1
+        stack.append((level, part))
+    # the odd subtrees left over merge right to left, as the tree carries them
+    part = stack.pop()[1]
+    while stack:
+        part = stack.pop()[1] + part
     i = np.arange(n)
     j = (i + np.arange(half + 1)[:, None]) % n
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     g = np.empty((n, n))
-    g[lo, hi] = pairs
-    g[hi, lo] = pairs
+    g[lo, hi] = part
+    g[hi, lo] = part
     return g
 
 

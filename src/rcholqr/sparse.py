@@ -208,7 +208,8 @@ def _coo_to_csr(rows: int, ii, jj, vv):
 
     Entries are sorted by row, then column, and duplicates are summed in
     file order.  Strictly sorted input, what :func:`write_matrix_market`
-    writes, skips the sort: it would change nothing.
+    writes, skips the sort and the merge, which would change nothing but
+    double the peak memory of a read.
     """
     unsorted = not np.all((ii[1:] > ii[:-1])
                           | ((ii[1:] == ii[:-1]) & (jj[1:] > jj[:-1])))
@@ -266,15 +267,19 @@ def _load_mm_entries(handle, rows: int, cols: int, nnz: int):
     wrong.
 
     Lines starting with '%' are dropped before parsing and ``comments`` is
-    off, so a '%' after an entry is an error, as in the line scan.
+    off, so a '%' after an entry is an error, as in the line scan.  An
+    index written as a float ('1.0', '1.5') is an error too: numpy >= 1.23
+    either rejects it or parses it with a DeprecationWarning, which is
+    raised here.
     """
     body = (raw for raw in handle if not raw.lstrip().startswith("%"))
     try:
         with warnings.catch_warnings():
             # a body with no entries warns; the line scan reports it
             warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             rec = np.loadtxt(body, dtype=_MM_ENTRY, comments=None, ndmin=1)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return None
     i, j = rec["i"], rec["j"]
     if (rec.size != nnz or i.min() < 1 or i.max() > rows

@@ -140,7 +140,9 @@ def test_gram_matches_reference(monkeypatch, n, m):
     # Odd and even n (the d = n/2 pairs come twice when n is even), one
     # partial block, exact blocks and a ragged last block; then chunks of
     # a few blocks and tiles of 3, so chunks split the block range and the
-    # last chunk is short.
+    # last chunk is short; then small groups of blocks (down to one), so
+    # the group partials are merged by the counter and the last group is
+    # short.
     m = n if m == "n" else m
     rng = np.random.default_rng(100 * n + m)
     x = rng.standard_normal((m, n)) * np.exp2(rng.integers(-30, 30, n))
@@ -149,6 +151,9 @@ def test_gram_matches_reference(monkeypatch, n, m):
     monkeypatch.setattr(dense, "_CHUNK", 8)
     monkeypatch.setattr(dense, "_TILE", 3)
     assert _same_bits(dense.gram(x), want)
+    for acc in (64, 300):
+        monkeypatch.setattr(dense, "_ACC", acc)
+        assert _same_bits(dense.gram(x), want)
 
 
 def test_gram_strided_input():
@@ -180,6 +185,19 @@ def test_gram_peak_memory_below_input():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes
+
+
+def test_gram_wide_peak_memory_below_input():
+    # 101 pair distances x 625 blocks of partials would be 3x the input;
+    # groups of blocks keep them at most _ACC entries.
+    x = np.random.default_rng(8).standard_normal((20000, 200))
+    tracemalloc.start()
+    try:
+        dense.gram(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
 
 
 def test_gram_requires_tall():

@@ -214,11 +214,29 @@ def test_matrix_market_malformed_entry(tmp_path):
 _BANNER = "%%MatrixMarket matrix coordinate real general\n"
 
 
-@pytest.mark.parametrize("bad", ["2 2 1.0 % note", "1.0 2 1.0", "2 2"])
+@pytest.mark.parametrize("bad", ["2 2 1.0 % note", "1.0 2 1.0", "1.5 2 1.0",
+                                 "2 1.0 1.0", "2 2"])
 def test_matrix_market_bad_entry_line(tmp_path, bad):
     # A blank and a comment line come before the bad one, which is line 6.
     path = tmp_path / "bad.mtx"
     path.write_text(_BANNER + "2 2 3\n1 1 1.0\n\n% c\n" + bad + "\n2 1 1.0\n")
+    with pytest.raises(ParseError) as info:
+        sparse.read_matrix_market(path)
+    assert info.value.line == 6
+
+
+def test_matrix_market_float_index_warning_is_an_error(tmp_path, monkeypatch):
+    # numpy 1.23 parses '1.5' into an integer field, truncated, with a
+    # DeprecationWarning; the line scan must still report the line.
+    def loadtxt(body, dtype, **kwargs):
+        list(body)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.array([(1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], dtype=dtype)
+
+    monkeypatch.setattr(sparse.np, "loadtxt", loadtxt)
+    path = tmp_path / "bad.mtx"
+    path.write_text(_BANNER + "2 2 3\n1 1 1.0\n\n% c\n1.5 2 1.0\n2 1 1.0\n")
     with pytest.raises(ParseError) as info:
         sparse.read_matrix_market(path)
     assert info.value.line == 6
@@ -259,7 +277,8 @@ def test_matrix_market_dense_family_round_trip(dense_family_file):
 
 def test_matrix_market_read_peak_memory(dense_family_file):
     # The entries are parsed into one 24-byte record each (9.6 MB here);
-    # the file's text is never held whole.
+    # the file's text is never held whole, and entries already in order
+    # are not copied to be sorted (that alone peaks at 32 MB).
     _, path = dense_family_file
     tracemalloc.start()
     try:
