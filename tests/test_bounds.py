@@ -15,6 +15,8 @@ NO_SKETCH = SketchParams.none()
 
 T1_PROFILE = SparsityProfile(v=1, t1=20000, t2=2000, c=10.0,
                              dense_cols=[0], kind=sparse.T1)
+T2_PROFILE = SparsityProfile(v=0, t1=0, t2=2000, c=10.0, dense_cols=[],
+                             kind=sparse.T2)
 DENSE_PROFILE = SparsityProfile(v=20, t1=20000, t2=0, c=1.0,
                                 dense_cols=list(range(20)), kind=sparse.DENSE)
 
@@ -99,9 +101,9 @@ def test_kappa_limit_monotone_in_eta():
 
 
 def test_kappa_limit_u_to_zero():
-    tiny = bounds.kappa_limit(MR, sparse.T2, T1_PROFILE, EXP_MULTI,
+    tiny = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
                               20000, 20, eta=0.1, j=2.0, u=1e-40)
-    big = bounds.kappa_limit(MR, sparse.T2, T1_PROFILE, EXP_MULTI,
+    big = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
                              20000, 20, eta=0.1, j=2.0)
     assert tiny > 1e10 * big
 
@@ -109,7 +111,7 @@ def test_kappa_limit_u_to_zero():
 def test_kappa_limit_t1_below_t2():
     r_and_w = bounds.kappa_limit(MR, sparse.T1, T1_PROFILE, EXP_MULTI,
                                  20000, 20, eta=0.007, j=4.45)
-    w_only = bounds.kappa_limit(MR, sparse.T2, T1_PROFILE, EXP_MULTI,
+    w_only = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
                                 20000, 20, eta=0.007, j=4.45)
     assert r_and_w <= w_only
 
@@ -154,13 +156,14 @@ def test_predicted_resid_u5_equals_u6_when_masses_match():
                               kind=sparse.T1)
     u5 = bounds.predicted_resid(CHOLQR2, sparse.T1, profile, NO_SKETCH,
                                 100, 5, norm_x_2=3.0, eta=1.0, j=2.0)
-    u6 = bounds.predicted_resid(CHOLQR2, sparse.T2, profile, NO_SKETCH,
+    t2_profile = SparsityProfile(v=0, t1=0, t2=4, c=1.0, kind=sparse.T2)
+    u6 = bounds.predicted_resid(CHOLQR2, sparse.T2, t2_profile, NO_SKETCH,
                                 100, 5, norm_x_2=3.0, eta=1.0, j=2.0)
     assert u5 == pytest.approx(u6, rel=1e-15)
 
 
 def test_predicted_resid_linear_in_norm():
-    args = (MR, sparse.T2, T1_PROFILE, EXP_MULTI, 20000, 20)
+    args = (MR, sparse.T2, T2_PROFILE, EXP_MULTI, 20000, 20)
     one = bounds.predicted_resid(*args, norm_x_2=1.0, eta=0.1, j=2.0)
     seven = bounds.predicted_resid(*args, norm_x_2=7.0, eta=0.1, j=2.0)
     assert seven == pytest.approx(7 * one, rel=1e-15)
@@ -172,14 +175,14 @@ def test_bounds_monotone_in_u():
         low = bounds.predicted_orth(alg, params, 20000, 20, u=U)
         high = bounds.predicted_orth(alg, params, 20000, 20, u=2 * U)
         assert high > low
-        r_low = bounds.predicted_resid(alg, sparse.T2, T1_PROFILE, params,
+        r_low = bounds.predicted_resid(alg, sparse.T2, T2_PROFILE, params,
                                        20000, 20, 1.0, 0.1, 2.0, u=U)
-        r_high = bounds.predicted_resid(alg, sparse.T2, T1_PROFILE, params,
+        r_high = bounds.predicted_resid(alg, sparse.T2, T2_PROFILE, params,
                                         20000, 20, 1.0, 0.1, 2.0, u=2 * U)
         assert r_high > r_low
-        k_low = bounds.kappa_limit(alg, sparse.T2, T1_PROFILE, params,
+        k_low = bounds.kappa_limit(alg, sparse.T2, T2_PROFILE, params,
                                    20000, 20, 0.1, 2.0, u=2 * U)
-        k_high = bounds.kappa_limit(alg, sparse.T2, T1_PROFILE, params,
+        k_high = bounds.kappa_limit(alg, sparse.T2, T2_PROFILE, params,
                                     20000, 20, 0.1, 2.0, u=U)
         assert k_high > k_low
 

@@ -85,12 +85,37 @@ def test_sr_t1_family():
     assert res.diagnostics.stages_completed == ["sketch-cholesky", "refine-cholesky"]
 
 
-def test_sr_dimension_checks():
+def spy_draws(monkeypatch):
+    """Row counts of every Gaussian block drawn from here on."""
+    draws = []
+    real = sketch._draw
+
+    def spy(rng, rows, op):
+        draws.append(rows)
+        return real(rng, rows, op)
+
+    monkeypatch.setattr(sketch, "_draw", spy)
+    return draws
+
+
+def test_sr_dimension_checks(monkeypatch):
     x = np.ones((30, 5))
+    draws = spy_draws(monkeypatch)
     with pytest.raises(DimensionError):
         qr.sr_cholesky_qr2(x, sketch.build_gaussian(10, 29, seed=0))
     with pytest.raises(DimensionError):
         qr.sr_cholesky_qr2(x, sketch.build_gaussian(3, 30, seed=0))
+    assert draws == []  # both fail before the sketch is applied
+
+
+def test_mr_dimension_checks(monkeypatch):
+    x = np.ones((30, 5))
+    draws = spy_draws(monkeypatch)
+    with pytest.raises(DimensionError):
+        qr.mr_cholesky_qr2(x, sketch.build_multisketch(10, 5, 29, seed=0))
+    with pytest.raises(DimensionError):
+        qr.mr_cholesky_qr2(x, sketch.build_multisketch(10, 3, 30, seed=0))
+    assert draws == []  # both fail before the sketch is applied
 
 
 def test_mr_degenerate_passthrough():
