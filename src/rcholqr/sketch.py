@@ -283,7 +283,10 @@ def combine_embedding(e1: float, p1: float, e2: float, p2: float) -> EmbeddingPa
 
     eps_s = e1 + e2 - e1 e2 bounds the shrink side, eps_b = e1 + e2 + e1 e2
     the stretch side, and p_f = p1 + p2 - p1 p2 the failure probability.
+    Each stage's eps and p must lie in [0, 1].
     """
+    if not all(0.0 <= value <= 1.0 for value in (e1, p1, e2, p2)):
+        raise ParamError(f"need each stage's eps and p in [0, 1], got {e1, p1, e2, p2}")
     return EmbeddingParams(
         eps_s=(e1 + e2) - e1 * e2,
         eps_b=(e1 + e2) + e1 * e2,

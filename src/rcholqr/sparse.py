@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,17 +294,15 @@ def _load_mm_entries(handle, rows: int, cols: int, nnz: int):
 def _scan_mm_entries(handle, rows: int, cols: int, nnz: int, lineno: int):
     """CSR arrays of the remaining lines, read one line at a time; raises
     :class:`ParseError` at the first bad line.  ``lineno`` is the number
-    of the line before the first one read.
+    of the line before the first one read.  The arrays grow with the
+    entries read, so a size line that overstates the count costs nothing.
     """
-    ii = np.empty(nnz, dtype=np.int64)
-    jj = np.empty(nnz, dtype=np.int64)
-    vv = np.empty(nnz, dtype=np.float64)
-    seen = 0
+    ii, jj, vv = array("q"), array("q"), array("d")
     for lineno, raw in enumerate(handle, start=lineno + 1):
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
-        if seen >= nnz:
+        if len(vv) >= nnz:
             raise ParseError(f"more than {nnz} entries", lineno)
         parts = text.split()
         if len(parts) != 3:
@@ -314,11 +313,12 @@ def _scan_mm_entries(handle, rows: int, cols: int, nnz: int, lineno: int):
             raise ParseError("malformed entry", lineno) from None
         if not 1 <= i <= rows or not 1 <= j <= cols:
             raise ParseError(f"index ({i}, {j}) out of range", lineno)
-        ii[seen], jj[seen], vv[seen] = i - 1, j - 1, val
-        seen += 1
-    if seen != nnz:
-        raise ParseError(f"expected {nnz} entries, found {seen}", lineno)
-    return _coo_to_csr(rows, ii, jj, vv)
+        ii.append(i - 1)
+        jj.append(j - 1)
+        vv.append(val)
+    if len(vv) != nnz:
+        raise ParseError(f"expected {nnz} entries, found {len(vv)}", lineno)
+    return _coo_to_csr(rows, np.array(ii), np.array(jj), np.array(vv))
 
 
 def write_matrix_market(s: CSRMatrix, path) -> None:

@@ -200,6 +200,18 @@ def test_cli_bounds_rejects_bad_sizes(tmp_path, capsys, sizes):
     assert not report.exists()
 
 
+def test_cli_bounds_rejects_stage_eps_above_one(tmp_path, capsys):
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "10",
+          "--out", str(mtx)])  # 200 x 20
+    report = tmp_path / "report.json"
+    assert main(["bounds", "--in", str(mtx), "--alg", "mr", "--s1", "100",
+                 "--s2", "30", "--eps1", "1.5", "--json", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "rcholqr: error: need each stage's eps and p in [0, 1]" in err
+    assert not report.exists()
+
+
 def test_dispatch_goes_through_module_attributes(tmp_path, monkeypatch):
     # the benchmark captures R and traces calls by patching these attributes
     from rcholqr import qr, sketch
@@ -251,6 +263,17 @@ def test_cli_verify_sketch_bad_eps_exits_one(capsys, eps):
     assert code == 1
     captured = capsys.readouterr()
     assert "rcholqr: error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eps", ["1.5", "-0.5", "nan"])
+def test_cli_verify_sketch_multi_bad_eps_exits_one(capsys, eps):
+    code = main(["verify-sketch", "--kind", "multi", "--m", "200", "--n", "5",
+                 "--s1", "100", "--s2", "20", "--eps", eps, "--trials", "50",
+                 "--seed", "0"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "rcholqr: error: need each stage's eps and p in [0, 1]" in captured.err
     assert captured.out == ""
 
 

@@ -299,6 +299,14 @@ def test_combine_embedding_edges():
     assert emb.eps_s == emb.eps_b == 0.4 and emb.p_f == 0.0
 
 
+@pytest.mark.parametrize("stages", [(1.5, 0.0, 1.5, 0.0), (-0.5, 0.0, 0.5, 0.0),
+                                    (0.5, 0.6, 0.5, 1.2), (0.5, float("nan"), 0.5, 0.4),
+                                    (float("nan"), 0.0, float("nan"), 0.0)])
+def test_combine_embedding_rejects_stage_outside_unit_interval(stages):
+    with pytest.raises(ParamError):
+        sketch.combine_embedding(*stages)
+
+
 def test_combine_embedding_symmetric():
     a = sketch.combine_embedding(0.3, 0.2, 0.6, 0.1)
     b = sketch.combine_embedding(0.6, 0.1, 0.3, 0.2)

@@ -172,6 +172,17 @@ def test_matrix_market_entry_count_mismatch(tmp_path):
         sparse.read_matrix_market(path)
 
 
+def test_matrix_market_overstated_count_reads_only_what_is_there(tmp_path):
+    # sizing the line scan by the size line would ask for 2.4e15 bytes
+    path = tmp_path / "short.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 100000000000000\n1 1 1.0\n")
+    with pytest.raises(ParseError) as info:
+        sparse.read_matrix_market(path)
+    assert info.value.line == 3
+    assert "expected 100000000000000 entries, found 1" in str(info.value)
+
+
 def test_matrix_market_duplicates_summed(tmp_path):
     path = tmp_path / "dup.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n"
