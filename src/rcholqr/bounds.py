@@ -2,7 +2,9 @@
 bound predictions for the factorization algorithms.
 
 Everything here is plain arithmetic in the unit roundoff ``u`` (2^-53 by
-default, overridable for sensitivity checks).  The limits are sufficient
+default, overridable for sensitivity checks).  Each bound reads the
+algorithm from ``SketchParams.mode`` and the matrix class from
+``SparsityProfile.kind``, its one source.  The limits are sufficient
 conditions: a report with ``admissible=False`` does not stop an algorithm
 from running, and the experiment families routinely succeed well past the
 certified region.
@@ -25,10 +27,12 @@ CHOLQR2 = "cholqr2"
 SR = "sr"
 MR = "mr"
 
-# Orthogonality-bound coefficients (conservative, alternate).  The composed
-# sketch carries both a stated 6 a^2 and a derived 5 a^2 coefficient; the
-# conservative one is what predicted_orth returns.
-ORTH_COEFFS = {MR: (6.0, 5.0), SR: (5.0, 5.0), CHOLQR2: (6.0, 5.9)}
+# Orthogonality-bound coefficients, the conservative one where two are
+# stated.  The alternates: a derived 5 a^2 for the composed sketch (stated
+# 6 a^2) and 5.9 for cholqr2 (stated 6); sr states 5 a^2 only.
+ORTH_COEFFS = {MR: 6.0, SR: 5.0, CHOLQR2: 6.0}
+# Gaussian tail-bound constant C of gaussian_two_norm_bound.
+C_GAUSS = 2.0
 # Report names of the amplification cap, its growth term, the sketching-
 # stage coefficient and its nonzero-mass scaling; sr keeps the paper's names.
 CONSTANT_NAMES = {MR: ("a", "d", "t", "k"), SR: ("b", "h", "t1", "k1")}
@@ -81,9 +85,9 @@ def sparse_weight(v: int, t1: int, t2: int, n: int) -> float:
     return math.sqrt(v * t1 + n * t2)
 
 
-def gaussian_two_norm_bound(out_rows: int, in_rows: int, c_gauss: float = 2.0) -> float:
-    """Probabilistic 2-norm cap 1 + C (sqrt(in/out) + 3/sqrt(out))."""
-    return 1.0 + c_gauss * (math.sqrt(in_rows / out_rows) + 3.0 / math.sqrt(out_rows))
+def gaussian_two_norm_bound(out_rows: int, in_rows: int) -> float:
+    """Probabilistic 2-norm cap 1 + C (sqrt(in/out) + 3/sqrt(out)), C = C_GAUSS."""
+    return 1.0 + C_GAUSS * (math.sqrt(in_rows / out_rows) + 3.0 / math.sqrt(out_rows))
 
 
 def countsketch_fro_norm(m: int) -> float:
@@ -91,35 +95,17 @@ def countsketch_fro_norm(m: int) -> float:
     return math.sqrt(m)
 
 
-def const_t(s1: int, s2: int, m: int, eps1: float,
-            norm_o1_f: float | None = None, norm_o2_2: float | None = None,
-            u: float = U, c_gauss: float = 2.0) -> float:
+def const_t(s1: int, s2: int, m: int, eps1: float, u: float = U) -> float:
     """Sketching-stage rounding coefficient of the composed sketch."""
-    o1 = countsketch_fro_norm(m) if norm_o1_f is None else norm_o1_f
-    o2 = gaussian_two_norm_bound(s2, s1, c_gauss) if norm_o2_2 is None else norm_o2_2
+    o1 = countsketch_fro_norm(m)
+    o2 = gaussian_two_norm_bound(s2, s1)
     inner = math.sqrt(1.0 + eps1) + 1.1 * m * u * o1
     return 1.1 * s1 * u * math.sqrt(s2) * o2 * inner + 1.1 * m * u * o1 * o2
 
 
-def const_k(s1: int, s2: int, m: int, eps1: float, v: int, t1: int, t2: int,
-            n: int, norm_o1_f: float | None = None, norm_o2_2: float | None = None,
-            u: float = U, c_gauss: float = 2.0) -> float:
-    """const_t scaled by the nonzero-mass term (exact identity)."""
-    return const_t(s1, s2, m, eps1, norm_o1_f, norm_o2_2, u, c_gauss) \
-        * sparse_weight(v, t1, t2, n)
-
-
-def const_t1(m: int, s: int, norm_o_2: float | None = None,
-             u: float = U, c_gauss: float = 2.0) -> float:
+def const_t1(m: int, s: int, u: float = U) -> float:
     """Sketching-stage rounding coefficient of the single Gaussian sketch."""
-    o2 = gaussian_two_norm_bound(s, m, c_gauss) if norm_o_2 is None else norm_o_2
-    return 1.1 * m * u * math.sqrt(s) * o2
-
-
-def const_k1(m: int, s: int, v: int, t1: int, t2: int, n: int,
-             norm_o_2: float | None = None, u: float = U,
-             c_gauss: float = 2.0) -> float:
-    return const_t1(m, s, norm_o_2, u, c_gauss) * sparse_weight(v, t1, t2, n)
+    return 1.1 * m * u * math.sqrt(s) * gaussian_two_norm_bound(s, m)
 
 
 @dataclass
@@ -170,102 +156,78 @@ class SketchParams:
         return EmbeddingParams(0.0, 0.0, 0.0)
 
 
-def _mode(algorithm: str, params: SketchParams) -> str:
-    if algorithm != params.mode:
-        raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
-    return algorithm
-
-
-def _stage(params: SketchParams, m: int, u: float,
-           c_gauss: float) -> tuple[float, int]:
+def _stage(params: SketchParams, m: int, u: float) -> tuple[float, int]:
     """Sketching-stage coefficient and last sketch size: t and s2 for mr,
     t1 and s for sr."""
     if params.mode == MR:
-        return const_t(params.s1, params.s2, m, params.e1, u=u,
-                       c_gauss=c_gauss), params.s2
-    return const_t1(m, params.s1, u=u, c_gauss=c_gauss), params.s1
+        return const_t(params.s1, params.s2, m, params.e1, u), params.s2
+    return const_t1(m, params.s1, u), params.s1
 
 
-def kappa_limit(algorithm: str, kind: str, profile: sparse.SparsityProfile,
-                params: SketchParams, m: int, n: int, eta: float, j: float,
-                u: float = U, c_gauss: float = 2.0) -> float:
-    """Largest certified condition number for (algorithm, matrix class).
+def kappa_limit(profile: sparse.SparsityProfile, params: SketchParams,
+                m: int, n: int, eta: float, j: float, u: float = U) -> float:
+    """Largest certified condition number for (params.mode, profile.kind).
 
     Sparse-column classes use the entry-ratio route (through eta and the
     nonzero mass), everything else the g-norm route (through j); T1 inputs
     take the smaller of the two.  Falls to AssumptionViolated when the
     embedding distortion is too large to certify anything.
     """
-    v, t1, t2 = profile.v, profile.t1, profile.t2
-    sw = sparse_weight(v, t1, t2, n)
-    if _mode(algorithm, params) == CHOLQR2:
+    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    if params.mode == CHOLQR2:
         base = math.sqrt(m * u + (n + 1) * u)
         k2 = 1.0 / (10.5 * j * base)
-        if kind == sparse.T1:
+        if profile.kind == sparse.T1:
             k1 = 1.0 / (10.5 * eta * base * sw)
             return min(k1, k2)
         return k2
     emb = params.embedding()
-    t, s_out = _stage(params, m, u, c_gauss)
+    t, s_out = _stage(params, m, u)
     root_s = math.sqrt(1.0 - emb.eps_s)
     root_b = math.sqrt(1.0 + emb.eps_b)
     tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
     k = t * sw
     w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
-    if kind == sparse.T1:
+    if profile.kind == sparse.T1:
         r = min(root_s / (10.5 * eta * k),
                 1.0 / (10.5 * eta * (root_b * sw + k)) * tail)
         return min(r, w)
     return w
 
 
-def predicted_orth(algorithm: str, params: SketchParams, m: int, n: int,
-                   u: float = U) -> float:
-    """Orthogonality bound; the conservative coefficient when two are stated."""
+def predicted_orth(params: SketchParams, m: int, n: int, u: float = U) -> float:
+    """Orthogonality bound of params.mode; the conservative coefficient when
+    two are stated."""
     emb = params.embedding()
     # cholqr2 has no preconditioner to amplify; a = 1 leaves every bit as is
-    a = 1.0 if _mode(algorithm, params) == CHOLQR2 else const_a(emb.eps_s, emb.eps_b)
-    return ORTH_COEFFS[algorithm][0] * a * a * _size_factor(m, n, u)
+    a = 1.0 if params.mode == CHOLQR2 else const_a(emb.eps_s, emb.eps_b)
+    return ORTH_COEFFS[params.mode] * a * a * _size_factor(m, n, u)
 
 
-def predicted_resid(algorithm: str, kind: str, profile: sparse.SparsityProfile,
-                    params: SketchParams, m: int, n: int, norm_x_2: float,
-                    eta: float, j: float, u: float = U,
-                    c_gauss: float = 2.0) -> float:
-    """Residual bound for (algorithm, matrix class), linear in ||X||_2."""
-    v, t1, t2 = profile.v, profile.t1, profile.t2
-    sw = sparse_weight(v, t1, t2, n)
+def predicted_resid(profile: sparse.SparsityProfile, params: SketchParams,
+                    m: int, n: int, norm_x_2: float, eta: float, j: float,
+                    u: float = U) -> float:
+    """Residual bound for (params.mode, profile.kind), linear in ||X||_2."""
+    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
     n_sqrt_n = n * math.sqrt(n)
     scale = u * norm_x_2
-    if _mode(algorithm, params) == CHOLQR2:
-        if kind == sparse.T1:
+    if params.mode == CHOLQR2:
+        if profile.kind == sparse.T1:
             return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
         return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
     emb = params.embedding()
-    t, _ = _stage(params, m, u, c_gauss)
+    t, _ = _stage(params, m, u)
     grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
     root_s = math.sqrt(1.0 - emb.eps_s)
     root_b = math.sqrt(1.0 + emb.eps_b)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
     tail = 1.34 * math.sqrt(1.0 + grow) / root_s
-    if kind == sparse.T1:
+    if profile.kind == sparse.T1:
         k = t * sw
         return lead * (root_b * sw + k) * eta * n_sqrt_n * scale \
             + tail * (root_b + k * eta) * n * n * scale
     return lead * (root_b + t) * j * n_sqrt_n * scale \
         + tail * (root_b + t * j) * n * n * scale
-
-
-def complexity_estimate(algorithm: str, m: int, n: int,
-                        s1: int = 0, s2: int = 0) -> int:
-    """Leading-term flop count of the stage that differs between algorithms."""
-    if algorithm == MR:
-        return m * n + s2 * s1 * n + s2 * n * n
-    if algorithm == SR:
-        return s1 * m * n + s1 * n * n
-    if algorithm == CHOLQR2:
-        return m * n * n
-    raise ParamError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass
@@ -287,9 +249,10 @@ class BoundReport:
 
 
 def build_bound_report(x, algorithm: str, params: SketchParams,
-                       dense_fraction: float = 0.25, u: float = U,
-                       c_gauss: float = 2.0) -> BoundReport:
+                       dense_fraction: float = 0.25, u: float = U) -> BoundReport:
     """Profile a matrix and evaluate every condition and bound for one run."""
+    if algorithm != params.mode:
+        raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
     if isinstance(x, sparse.CSRMatrix):
         csr = x
         xd = sparse.to_dense(x)
@@ -297,7 +260,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         xd = dense.as_matrix(x)
         csr = sparse.from_dense(xd)
     m, n = xd.shape
-    sketched = _mode(algorithm, params) != CHOLQR2
+    sketched = algorithm != CHOLQR2
     params.check(m, n)
     profile = sparse.profile_sparsity(csr, dense_fraction)
     size_ok = check_size(m, n, u)
@@ -312,8 +275,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     eta_m = float(np.max(np.abs(xd))) / norm_x
     j_m = norms.g_norm(xd) / norm_x
     kappa = float(sv[0] / sv[-1]) if sv[-1] >= 1e-300 else math.inf
-    limit = kappa_limit(algorithm, profile.kind, profile, params, m, n,
-                        eta_m, j_m, u, c_gauss)
+    limit = kappa_limit(profile, params, m, n, eta_m, j_m, u)
     constants = {
         "gamma_n": gamma(n, u),
         "eta": eta_m,
@@ -321,7 +283,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     }
     if sketched:
         a = const_a(emb.eps_s, emb.eps_b)
-        t, _ = _stage(params, m, u, c_gauss)
+        t, _ = _stage(params, m, u)
         k = t * sparse_weight(profile.v, profile.t1, profile.t2, n)
         constants.update(zip(CONSTANT_NAMES[algorithm],
                              (a, const_d(a, m, n, u), t, k)))
@@ -338,8 +300,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         kappa_measured=kappa,
         admissible=admissible,
         constants=constants,
-        predicted_orth=predicted_orth(algorithm, params, m, n, u),
-        predicted_resid=predicted_resid(algorithm, profile.kind, profile,
-                                        params, m, n, norm_x, eta_m, j_m,
-                                        u, c_gauss),
+        predicted_orth=predicted_orth(params, m, n, u),
+        predicted_resid=predicted_resid(profile, params, m, n, norm_x,
+                                        eta_m, j_m, u),
     )

@@ -22,10 +22,11 @@ layout or chunk size changes a bit of the result.
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
 each unordered pair is formed once (the d = n/2 pairs twice when n is
 even), with the partials indexed (d, i, block) and the shifted operand a
-strided view of one step-major copy of X.  The blocks are taken in
-groups of a power of two, each a whole subtree of the carry tree, so only
-one group's partials are held at a time.  Products commute bitwise, so
-every entry equals ``matmul(X.T, X)`` at (min(i, j), max(i, j)).
+strided view of a step-major copy of one chunk of X at a time.  The
+blocks are taken in groups of a power of two, each a whole subtree of the
+carry tree, so only one group's partials are held at a time.  Products
+commute bitwise, so every entry equals ``matmul(X.T, X)`` at (min(i, j),
+max(i, j)).
 """
 
 from __future__ import annotations

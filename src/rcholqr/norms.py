@@ -1,11 +1,10 @@
-"""Frobenius, spectral, and max-column-norm ("g") norms plus derived ratios."""
+"""Frobenius, spectral, and max-column-norm ("g") norms."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import dense, sparse
-from .errors import UndefinedRatio
 
 
 def _as_dense(x) -> np.ndarray:
@@ -38,20 +37,3 @@ def g_norm(x) -> float:
     x = _as_dense(x)
     return float(np.sqrt(x.shape[1])) * g_bracket(x)
 
-
-def eta(x) -> float:
-    """Largest entry magnitude relative to the spectral norm, in (0, 1]."""
-    x = _as_dense(x)
-    denom = two_norm(x)
-    if denom == 0.0:
-        raise UndefinedRatio("eta is undefined for the zero matrix")
-    return float(np.max(np.abs(x))) / denom
-
-
-def j_ratio(x) -> float:
-    """g-norm over spectral norm, in [1, sqrt(cols)]."""
-    x = _as_dense(x)
-    denom = two_norm(x)
-    if denom == 0.0:
-        raise UndefinedRatio("j is undefined for the zero matrix")
-    return g_norm(x) / denom

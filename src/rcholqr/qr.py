@@ -100,26 +100,24 @@ def _refine_sketched(x: np.ndarray, a: np.ndarray) -> QRResult:
     return _finish(q, dense.matmul(z, y), x, ["sketch-cholesky", "refine-cholesky"])
 
 
-def _require_sketchable(x, in_rows: int, out_rows: int) -> np.ndarray:
-    """X is tall and the operator maps its m rows to s rows, n <= s <= m."""
+def _require_sketchable(x, out_rows: int) -> np.ndarray:
+    """X is tall and the sketch has s >= n rows, checked before the sketch
+    is drawn; applying it checks that X has the rows it expects."""
     x = _require_tall(x)
-    m, n = x.shape
-    if in_rows != m:
-        raise DimensionError(f"sketch expects {in_rows} rows, input has {m}")
-    if not n <= out_rows <= m:
-        raise DimensionError(f"need n <= s <= m, got s={out_rows}")
+    if out_rows < x.shape[1]:
+        raise DimensionError(f"need n <= s, got n={x.shape[1]}, s={out_rows}")
     return x
 
 
 def sr_cholesky_qr2(x, gauss: sketch.GaussianSketchOp) -> QRResult:
     """Gaussian-sketched variant: precondition with the factor of (Omega X)."""
-    x = _require_sketchable(x, gauss.in_rows, gauss.out_rows)
+    x = _require_sketchable(x, gauss.out_rows)
     return _refine_sketched(x, sketch.apply_gaussian(gauss, x))
 
 
 def mr_cholesky_qr2(x, multi: sketch.MultiSketchOp) -> QRResult:
     """Composed-sketch variant: CountSketch then Gaussian before the first pass."""
-    x = _require_sketchable(x, multi.count.in_rows, multi.gauss.out_rows)
+    x = _require_sketchable(x, multi.gauss.out_rows)
     return _refine_sketched(x, sketch.apply_multi(multi, x))
 
 

@@ -75,12 +75,6 @@ class MultiSketchOp:
     count: CountSketchOp
     gauss: GaussianSketchOp
 
-    def __post_init__(self):
-        if self.gauss.in_rows != self.count.out_rows:
-            raise DimensionError("stage dimensions do not chain")
-        if not self.gauss.out_rows <= self.count.out_rows <= self.count.in_rows:
-            raise ParamError("need s2 <= s1 <= m")
-
 
 @dataclass
 class EmbeddingParams:
@@ -119,8 +113,6 @@ def build_gaussian(s: int, m_in: int, seed: int) -> GaussianSketchOp:
 
 def build_multisketch(s1: int, s2: int, m: int, seed: int) -> MultiSketchOp:
     """Independent stages from sub-seeds mix_seed(seed, 0) and mix_seed(seed, 1)."""
-    if not 1 <= s2 <= s1 <= m:
-        raise ParamError(f"need 1 <= s2 <= s1 <= m, got s2={s2}, s1={s1}, m={m}")
     return MultiSketchOp(
         count=build_countsketch(s1, m, mix_seed(seed, 0)),
         gauss=build_gaussian(s2, s1, mix_seed(seed, 1)),
@@ -269,13 +261,6 @@ def countsketch_min_rows(n: int, eps: float, p: float) -> int:
     if n < 1:
         raise ParamError("need n >= 1")
     return _tolerant_ceil((n * n + n) / (eps * eps * p))
-
-
-def gaussian_rows_hint(n: int, y: float) -> int:
-    """Practical Gaussian sketch size ceil(y * n) for an oversampling y >= 1."""
-    if y < 1.0:
-        raise ParamError("need y >= 1")
-    return _tolerant_ceil(y * n)
 
 
 def combine_embedding(e1: float, p1: float, e2: float, p2: float) -> EmbeddingParams:

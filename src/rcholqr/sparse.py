@@ -116,42 +116,16 @@ def profile_sparsity(x: CSRMatrix, dense_fraction: float = 0.25) -> SparsityProf
     )
 
 
-def spmm(s: CSRMatrix, d) -> np.ndarray:
-    """Sparse @ dense."""
-    d = dense.as_matrix(d)
-    if d.shape[0] != s.cols:
-        raise DimensionError(f"inner dimensions disagree: {s.rows}x{s.cols} x {d.shape}")
-    out = np.zeros((s.rows, d.shape[1]))
-    if s.nnz:
-        contrib = s.values[:, None] * d[s.col_idx]
-        np.add.at(out, _entry_rows(s), contrib)
-    return out
-
-
-def dense_times_sparse(d, s: CSRMatrix) -> np.ndarray:
-    """Dense @ sparse."""
-    d = dense.as_matrix(d)
-    if d.shape[1] != s.rows:
-        raise DimensionError(f"inner dimensions disagree: {d.shape} x {s.rows}x{s.cols}")
-    out = np.zeros((s.cols, d.shape[0]))
-    if s.nnz:
-        contrib = s.values[:, None] * d[:, _entry_rows(s)].T
-        np.add.at(out, s.col_idx, contrib)
-    return out.T
-
-
 def to_dense(s: CSRMatrix) -> np.ndarray:
     out = np.zeros((s.rows, s.cols))
     out[_entry_rows(s), s.col_idx] = s.values
     return out
 
 
-def from_dense(d, drop_tol: float = 0.0) -> CSRMatrix:
-    """Compress a dense matrix, dropping entries with |entry| <= drop_tol."""
+def from_dense(d) -> CSRMatrix:
+    """Compress a dense matrix, dropping its zero entries."""
     d = dense.as_matrix(d)
-    if drop_tol < 0.0:
-        raise ParamError("drop_tol must be non-negative")
-    keep = np.abs(d) > drop_tol
+    keep = d != 0.0
     rows, cols = np.nonzero(keep)
     row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])

@@ -63,88 +63,79 @@ def test_const_t_regression_experiment_params():
         6.001191983779668, rel=1e-15)
 
 
-def test_const_k_identity():
-    t = bounds.const_t(2800, 500, 20000, 0.5)
-    k = bounds.const_k(2800, 500, 20000, 0.5, 1, 20000, 2000, 20)
-    assert k == t * math.sqrt(1 * 20000 + 20 * 2000)
-    # v = 0 reduces to the n t2 mass
-    k0 = bounds.const_k(2800, 500, 20000, 0.5, 0, 0, 2000, 20)
-    assert k0 == t * math.sqrt(20 * 2000)
-
-
 def test_const_t_vanishes_without_rounding():
     assert bounds.const_t(2800, 500, 20000, 0.5, u=0.0) == 0.0
-    assert bounds.const_k1(20000, 500, 1, 100, 5, 20, u=0.0) == 0.0
+    assert bounds.const_t1(20000, 500, u=0.0) == 0.0
 
 
 def test_const_t1_k1():
-    assert bounds.const_t1(20000, 500, norm_o_2=2.0) == 1.0923150274288002e-10
-    assert bounds.const_t1(20000, 500, norm_o_2=4.0) == pytest.approx(
-        2 * bounds.const_t1(20000, 500, norm_o_2=2.0), rel=1e-15)
-    assert bounds.const_k1(20000, 500, 0, 0, 0, 20) == 0.0
+    # k1 = t1 * sparse_weight; build_bound_report's constants pin both
     t1 = bounds.const_t1(20000, 500)
-    assert bounds.const_k1(20000, 500, 2, 50, 3, 20) == t1 * math.sqrt(2 * 50 + 60)
+    assert t1 == 7.601113771173531e-10
+    assert bounds.const_t1(20000, 500, u=2 * U) == pytest.approx(2 * t1, rel=1e-15)
+    assert bounds.sparse_weight(0, 0, 0, 20) == 0.0
+    assert bounds.sparse_weight(2, 50, 3, 20) == math.sqrt(2 * 50 + 60)
 
 
 def test_kappa_limit_deterministic_dense():
-    limit = bounds.kappa_limit(CHOLQR2, sparse.DENSE, DENSE_PROFILE, NO_SKETCH,
+    limit = bounds.kappa_limit(DENSE_PROFILE, NO_SKETCH,
                                20000, 20, eta=1.0, j=math.sqrt(20))
     assert limit == 14283.92974214603
 
 
 def test_kappa_limit_monotone_in_eta():
-    lo = bounds.kappa_limit(CHOLQR2, sparse.T1, T1_PROFILE, NO_SKETCH,
+    lo = bounds.kappa_limit(T1_PROFILE, NO_SKETCH,
                             20000, 20, eta=0.01, j=2.0)
-    hi = bounds.kappa_limit(CHOLQR2, sparse.T1, T1_PROFILE, NO_SKETCH,
+    hi = bounds.kappa_limit(T1_PROFILE, NO_SKETCH,
                             20000, 20, eta=0.5, j=2.0)
     assert lo >= hi
 
 
 def test_kappa_limit_u_to_zero():
-    tiny = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
+    tiny = bounds.kappa_limit(T2_PROFILE, EXP_MULTI,
                               20000, 20, eta=0.1, j=2.0, u=1e-40)
-    big = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
+    big = bounds.kappa_limit(T2_PROFILE, EXP_MULTI,
                              20000, 20, eta=0.1, j=2.0)
     assert tiny > 1e10 * big
 
 
 def test_kappa_limit_t1_below_t2():
-    r_and_w = bounds.kappa_limit(MR, sparse.T1, T1_PROFILE, EXP_MULTI,
+    r_and_w = bounds.kappa_limit(T1_PROFILE, EXP_MULTI,
                                  20000, 20, eta=0.007, j=4.45)
-    w_only = bounds.kappa_limit(MR, sparse.T2, T2_PROFILE, EXP_MULTI,
+    w_only = bounds.kappa_limit(T2_PROFILE, EXP_MULTI,
                                 20000, 20, eta=0.007, j=4.45)
     assert r_and_w <= w_only
 
 
 def test_kappa_limit_sr_dispatch():
-    w1 = bounds.kappa_limit(SR, sparse.DENSE, DENSE_PROFILE, EXP_SINGLE,
+    w1 = bounds.kappa_limit(DENSE_PROFILE, EXP_SINGLE,
                             20000, 20, eta=1.0, j=2.0)
-    both = bounds.kappa_limit(SR, sparse.T1, T1_PROFILE, EXP_SINGLE,
+    both = bounds.kappa_limit(T1_PROFILE, EXP_SINGLE,
                               20000, 20, eta=1.0, j=2.0)
     assert both <= w1
 
 
 def test_predicted_orth():
-    assert bounds.predicted_orth(CHOLQR2, NO_SKETCH, 20000, 20) == \
+    assert bounds.predicted_orth(NO_SKETCH, 20000, 20) == \
         2.667333021122431e-10
-    assert bounds.predicted_orth(MR, EXP_MULTI, 20000, 20) == \
+    assert bounds.predicted_orth(EXP_MULTI, 20000, 20) == \
         4.923406465325575e-09
-    assert bounds.predicted_orth(CHOLQR2, NO_SKETCH, 1, 1) == 18 * U
+    assert bounds.predicted_orth(NO_SKETCH, 1, 1) == 18 * U
     b = bounds.const_a(0.5, 0.5)
-    assert bounds.predicted_orth(SR, EXP_SINGLE, 20000, 20) == pytest.approx(
+    assert bounds.predicted_orth(EXP_SINGLE, 20000, 20) == pytest.approx(
         5 * b * b * (20000 * 20 * U + 420 * U), rel=1e-15)
 
 
 def test_predicted_orth_conservative_coefficient():
     a = bounds.const_a(0.75, 1.25)
     factor = 20000 * 20 * U + 420 * U
-    assert bounds.predicted_orth(MR, EXP_MULTI, 20000, 20) == pytest.approx(
-        bounds.ORTH_COEFFS[MR][0] * a * a * factor, rel=1e-15)
-    assert bounds.ORTH_COEFFS[MR] == (6.0, 5.0)
+    assert bounds.predicted_orth(EXP_MULTI, 20000, 20) == pytest.approx(
+        bounds.ORTH_COEFFS[MR] * a * a * factor, rel=1e-15)
+    assert bounds.ORTH_COEFFS[MR] == 6.0
 
 
 def test_predicted_resid_u6():
-    got = bounds.predicted_resid(CHOLQR2, sparse.DENSE, DENSE_PROFILE,
+    got = bounds.predicted_resid(DENSE_PROFILE,
                                  NO_SKETCH, 20000, 20, norm_x_2=1.0,
                                  eta=1.0, j=math.sqrt(20))
     assert got == 1.714184350021242e-13
@@ -154,46 +145,36 @@ def test_predicted_resid_u5_equals_u6_when_masses_match():
     # eta * sqrt(v t1 + n t2) == j makes the sparse and g-norm routes agree
     profile = SparsityProfile(v=1, t1=4, t2=0, c=1.0, dense_cols=[0],
                               kind=sparse.T1)
-    u5 = bounds.predicted_resid(CHOLQR2, sparse.T1, profile, NO_SKETCH,
+    u5 = bounds.predicted_resid(profile, NO_SKETCH,
                                 100, 5, norm_x_2=3.0, eta=1.0, j=2.0)
     t2_profile = SparsityProfile(v=0, t1=0, t2=4, c=1.0, kind=sparse.T2)
-    u6 = bounds.predicted_resid(CHOLQR2, sparse.T2, t2_profile, NO_SKETCH,
+    u6 = bounds.predicted_resid(t2_profile, NO_SKETCH,
                                 100, 5, norm_x_2=3.0, eta=1.0, j=2.0)
     assert u5 == pytest.approx(u6, rel=1e-15)
 
 
 def test_predicted_resid_linear_in_norm():
-    args = (MR, sparse.T2, T2_PROFILE, EXP_MULTI, 20000, 20)
+    args = (T2_PROFILE, EXP_MULTI, 20000, 20)
     one = bounds.predicted_resid(*args, norm_x_2=1.0, eta=0.1, j=2.0)
     seven = bounds.predicted_resid(*args, norm_x_2=7.0, eta=0.1, j=2.0)
     assert seven == pytest.approx(7 * one, rel=1e-15)
 
 
 def test_bounds_monotone_in_u():
-    for alg, params in ((CHOLQR2, NO_SKETCH), (MR, EXP_MULTI),
-                        (SR, EXP_SINGLE)):
-        low = bounds.predicted_orth(alg, params, 20000, 20, u=U)
-        high = bounds.predicted_orth(alg, params, 20000, 20, u=2 * U)
+    for params in (NO_SKETCH, EXP_MULTI, EXP_SINGLE):
+        low = bounds.predicted_orth(params, 20000, 20, u=U)
+        high = bounds.predicted_orth(params, 20000, 20, u=2 * U)
         assert high > low
-        r_low = bounds.predicted_resid(alg, sparse.T2, T2_PROFILE, params,
+        r_low = bounds.predicted_resid(T2_PROFILE, params,
                                        20000, 20, 1.0, 0.1, 2.0, u=U)
-        r_high = bounds.predicted_resid(alg, sparse.T2, T2_PROFILE, params,
+        r_high = bounds.predicted_resid(T2_PROFILE, params,
                                         20000, 20, 1.0, 0.1, 2.0, u=2 * U)
         assert r_high > r_low
-        k_low = bounds.kappa_limit(alg, sparse.T2, T2_PROFILE, params,
+        k_low = bounds.kappa_limit(T2_PROFILE, params,
                                    20000, 20, 0.1, 2.0, u=2 * U)
-        k_high = bounds.kappa_limit(alg, sparse.T2, T2_PROFILE, params,
+        k_high = bounds.kappa_limit(T2_PROFILE, params,
                                     20000, 20, 0.1, 2.0, u=U)
         assert k_high > k_low
-
-
-def test_complexity_estimate():
-    assert bounds.complexity_estimate(MR, 20000, 20, 2800, 500) == 28_600_000
-    assert bounds.complexity_estimate(CHOLQR2, 20000, 20) == 8_000_000
-    assert bounds.complexity_estimate(SR, 20000, 20, s1=500) == \
-        500 * 20000 * 20 + 500 * 400
-    small = bounds.complexity_estimate(MR, 20000, 20, 2800, 20)
-    assert small < bounds.complexity_estimate(MR, 20000, 20, 2800, 500)
 
 
 def test_build_bound_report_t1():
@@ -261,9 +242,10 @@ SKETCHED_PINS = [
 @pytest.mark.parametrize("alg,kind,profile,eta,j,u,limit,resid", SKETCHED_PINS)
 def test_sketched_bounds_pinned(alg, kind, profile, eta, j, u, limit, resid):
     params = EXP_SINGLE if alg == SR else EXP_MULTI
-    assert bounds.kappa_limit(alg, kind, profile, params, 20000, 20,
+    assert (params.mode, profile.kind) == (alg, kind)
+    assert bounds.kappa_limit(profile, params, 20000, 20,
                               eta=eta, j=j, u=u) == limit
-    assert bounds.predicted_resid(alg, kind, profile, params, 20000, 20,
+    assert bounds.predicted_resid(profile, params, 20000, 20,
                                   norm_x_2=1.0, eta=eta, j=j, u=u) == resid
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcholqr import norms, sparse
-from rcholqr.errors import UndefinedRatio
+from rcholqr.bounds import CHOLQR2, SketchParams, build_bound_report
 
 
 def test_fro_norm_examples():
@@ -43,18 +43,12 @@ def test_norms_accept_csr():
 
 
 def test_eta_j_examples():
-    assert norms.eta(np.eye(5)) == pytest.approx(1.0, rel=1e-12)
-    assert norms.j_ratio(np.eye(5)) == pytest.approx(np.sqrt(5.0), rel=1e-12)
-    col = np.array([[3.0], [4.0]])
-    assert norms.eta(col) == pytest.approx(0.8, rel=1e-12)
-    assert norms.j_ratio(col) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_eta_j_zero_matrix():
-    with pytest.raises(UndefinedRatio):
-        norms.eta(np.zeros((3, 2)))
-    with pytest.raises(UndefinedRatio):
-        norms.j_ratio(np.zeros((3, 2)))
+    # eta and j are measured once, for the bound report
+    for x, eta, j in ((np.eye(5), 1.0, np.sqrt(5.0)),
+                      (np.array([[3.0], [4.0]]), 0.8, 1.0)):
+        constants = build_bound_report(x, CHOLQR2, SketchParams.none()).constants
+        assert constants["eta"] == pytest.approx(eta, rel=1e-12)
+        assert constants["j"] == pytest.approx(j, rel=1e-12)
 
 
 def test_norm_chain_and_ratio_ranges():
@@ -68,8 +62,8 @@ def test_norm_chain_and_ratio_ranges():
         assert two <= fro * (1 + slack)
         assert fro <= g * (1 + slack)
         assert g <= np.sqrt(n) * two * (1 + slack)
-        assert 0.0 < norms.eta(x) <= 1.0 + slack
-        assert 1.0 - slack <= norms.j_ratio(x) <= np.sqrt(n) * (1 + slack)
+        assert 0.0 < np.max(np.abs(x)) / two <= 1.0 + slack  # eta
+        assert 1.0 - slack <= g / two <= np.sqrt(n) * (1 + slack)  # j
 
 
 def test_g_bracket_triangle_inequality():

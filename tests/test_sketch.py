@@ -112,7 +112,7 @@ def test_gaussian_norm_expectation():
 def test_gaussian_two_norm_probabilistic_bound():
     from rcholqr.bounds import gaussian_two_norm_bound
     s1, s2 = 128, 32
-    bound = gaussian_two_norm_bound(s2, s1, c_gauss=2.0)
+    bound = gaussian_two_norm_bound(s2, s1)
     hits = sum(
         norms.two_norm(sketch.build_gaussian(s2, s1, seed).entries) <= bound
         for seed in range(200))
@@ -268,7 +268,7 @@ def test_multisketch_chain_validation():
     count = sketch.build_countsketch(10, 50, 0)
     gauss = sketch.build_gaussian(5, 11, 0)
     with pytest.raises(DimensionError):
-        sketch.MultiSketchOp(count, gauss)
+        sketch.apply_multi(sketch.MultiSketchOp(count, gauss), np.ones((50, 2)))
 
 
 def test_countsketch_min_rows():
@@ -277,14 +277,6 @@ def test_countsketch_min_rows():
     assert sketch.countsketch_min_rows(30, 0.999999, 0.999999) in (930, 931)
     with pytest.raises(ParamError):
         sketch.countsketch_min_rows(20, 1.5, 0.5)
-
-
-def test_gaussian_rows_hint():
-    assert sketch.gaussian_rows_hint(20, 25) == 500
-    assert sketch.gaussian_rows_hint(13, 1) == 13
-    assert sketch.gaussian_rows_hint(20, 1.5) == 30
-    with pytest.raises(ParamError):
-        sketch.gaussian_rows_hint(20, 0.5)
 
 
 def test_combine_embedding_exact():

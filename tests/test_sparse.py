@@ -73,47 +73,6 @@ def test_profile_bad_fraction():
         sparse.profile_sparsity(csr(np.ones((2, 2))), dense_fraction=0.0)
 
 
-def test_spmm_identity():
-    rng = np.random.default_rng(1)
-    d = rng.standard_normal((4, 5))
-    assert np.array_equal(sparse.spmm(csr(np.eye(4)), d), d)
-
-
-def test_spmm_single_entry():
-    s = sparse.CSRMatrix(2, 2, np.array([0, 1, 1]), np.array([1]), np.array([2.0]))
-    out = sparse.spmm(s, np.eye(2))
-    assert np.array_equal(out, [[0.0, 2.0], [0.0, 0.0]])
-
-
-def test_spmm_matches_dense_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(500):
-        m, n, p = (int(v) for v in rng.integers(1, 12, 3))
-        d = (rng.random((m, n)) < 0.4) * rng.standard_normal((m, n))
-        s = sparse.from_dense(d)
-        b = rng.standard_normal((n, p))
-        got = sparse.spmm(s, b)
-        ref = d @ b
-        scale = max(np.linalg.norm(ref), 1e-30)
-        assert np.linalg.norm(got - ref) <= 1e-13 * scale
-
-
-def test_dense_times_sparse_matches_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        m, n, p = (int(v) for v in rng.integers(1, 10, 3))
-        d = rng.standard_normal((m, n))
-        s_dense = (rng.random((n, p)) < 0.5) * rng.standard_normal((n, p))
-        got = sparse.dense_times_sparse(d, sparse.from_dense(s_dense))
-        ref = d @ s_dense
-        assert np.allclose(got, ref, rtol=1e-13, atol=1e-14)
-
-
-def test_spmm_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        sparse.spmm(csr(np.eye(3)), np.ones((2, 2)))
-
-
 def test_round_trip_exact():
     rng = np.random.default_rng(4)
     d = (rng.random((8, 6)) < 0.5) * rng.standard_normal((8, 6))
