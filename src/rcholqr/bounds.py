@@ -3,8 +3,8 @@ bound predictions for the factorization algorithms.
 
 Everything here is plain arithmetic in the unit roundoff ``u`` (2^-53 by
 default, overridable for sensitivity checks).  Each bound reads the
-algorithm from ``SketchParams.mode`` and the matrix class from
-``SparsityProfile.kind``, its one source.  The limits are sufficient
+algorithm only from ``SketchParams.mode`` and the matrix class only from
+``SparsityProfile.kind``.  The limits are sufficient
 conditions: a report with ``admissible=False`` does not stop an algorithm
 from running, and the experiment families routinely succeed well past the
 certified region.

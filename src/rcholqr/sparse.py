@@ -125,7 +125,7 @@ def to_dense(s: CSRMatrix) -> np.ndarray:
 def from_dense(d) -> CSRMatrix:
     """Compress a dense matrix, dropping its zero entries."""
     d = dense.as_matrix(d)
-    keep = d != 0.0
+    keep = np.abs(d) > 0.0
     rows, cols = np.nonzero(keep)
     row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])
