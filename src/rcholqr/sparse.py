@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import lzma
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -164,16 +166,17 @@ def read_matrix_market(path) -> CSRMatrix:
 
     One-based indices become zero-based, duplicate entries are summed, and
     entries are sorted within each row.  The entries are parsed by one
-    ``np.loadtxt`` call streamed from the file; when that fails, or finds
-    a wrong entry count or index, the entries are re-read line by line to
-    report the offending line.
+    ``np.loadtxt`` call given the path, the one input numpy parses in C in
+    chunks.  A pipe, a '%' line in the body, a parse error, or a wrong
+    entry count or index sends the reader to a line scan, which gives the
+    same matrix or reports the offending line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         rows, cols, nnz, lineno = _read_mm_header(handle)
-        start = handle.tell()
-        arrays = _load_mm_entries(handle, rows, cols, nnz) if nnz else None
+        # opened again by name, a pipe would not start at the first entry
+        fast = nnz and handle.seekable()
+        arrays = _load_mm_entries(path, rows, cols, nnz, lineno) if fast else None
         if arrays is None:
-            handle.seek(start)
             arrays = _scan_mm_entries(handle, rows, cols, nnz, lineno)
     return CSRMatrix(rows, cols, *arrays)
 
@@ -181,8 +184,9 @@ def read_matrix_market(path) -> CSRMatrix:
 def _coo_to_csr(rows: int, ii, jj, vv):
     """(row_ptr, col_idx, values) of zero-based entries (ii, jj, vv).
 
-    Entries are sorted by row, then column, and duplicates are summed in
-    file order.  Strictly sorted input, what :func:`write_matrix_market`
+    Entries are sorted by row, then column, and duplicates are summed left
+    to right in file order from the first value, so a single entry keeps
+    its bits.  Strictly sorted input, what :func:`write_matrix_market`
     writes, skips the sort and the merge, which would change nothing but
     double the peak memory of a read.
     """
@@ -195,7 +199,9 @@ def _coo_to_csr(rows: int, ii, jj, vv):
         new_group[0] = True
         new_group[1:] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1])
         starts = np.flatnonzero(new_group)
-        vv = np.add.reduceat(vv, starts)
+        # float64 reduceat adds a group's first value to the sum of the rest
+        # (pairwise past 8); on Python floats it adds one value at a time
+        vv = np.add.reduceat(vv.astype(object), starts).astype(np.float64)
         ii, jj = ii[starts], jj[starts]
     row_ptr = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(ii, minlength=rows), out=row_ptr[1:])
@@ -236,25 +242,27 @@ def _read_mm_header(handle) -> tuple[int, int, int, int]:
     return rows, cols, nnz, lineno
 
 
-def _load_mm_entries(handle, rows: int, cols: int, nnz: int):
-    """CSR arrays of the remaining lines, parsed by one ``np.loadtxt``
-    call; None when a line does not parse or the count or an index is
-    wrong.
+def _load_mm_entries(path, rows: int, cols: int, nnz: int, skiprows: int):
+    """CSR arrays of the lines after the first ``skiprows``, parsed by one
+    ``np.loadtxt`` call; None when a line does not parse or the count or
+    an index is wrong.
 
-    Lines starting with '%' are dropped before parsing and ``comments`` is
-    off, so a '%' after an entry is an error, as in the line scan.  An
-    index written as a float ('1.0', '1.5') is an error too: numpy >= 1.23
-    either rejects it or parses it with a DeprecationWarning, which is
-    raised here.
+    numpy parses in chunks in C only from a ``str`` path with
+    ``comments=None``, so the file is opened again by name.  Blank lines
+    are skipped.  A '%' line in the body, a '%' after an entry, an index
+    written as a float ('1.0', '1.5'; numpy >= 1.23 rejects it or warns
+    with a DeprecationWarning, raised here) and an error from numpy's
+    opener, which picks a decompressor by suffix (a plain-text
+    'x.mtx.gz'), are misses left to the line scan.
     """
-    body = (raw for raw in handle if not raw.lstrip().startswith("%"))
     try:
         with warnings.catch_warnings():
             # a body with no entries warns; the line scan reports it
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
-            rec = np.loadtxt(body, dtype=_MM_ENTRY, comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+            rec = np.loadtxt(os.fsdecode(path), dtype=_MM_ENTRY, comments=None,
+                             ndmin=1, skiprows=skiprows, encoding="utf-8")
+    except (OSError, lzma.LZMAError, ValueError, DeprecationWarning):
         return None
     i, j = rec["i"], rec["j"]
     if (rec.size != nnz or i.min() < 1 or i.max() > rows

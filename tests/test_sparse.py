@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -257,6 +259,105 @@ def test_matrix_market_read_peak_memory(dense_family_file):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("tail", [2, 15])
+def test_matrix_market_duplicates_summed_left_to_right(tmp_path, tail):
+    # np.add.reduceat adds the rest of a group to its first value, which
+    # reads 1 + 2e-16 and (pairwise, past 8) 1 + 1.5e-15 here.
+    path = tmp_path / "dup.mtx"
+    path.write_text(_BANNER + f"2 2 {tail + 3}\n2 2 -0.0\n1 1 1.0\n"
+                    + "1 1 1e-16\n" * tail + "2 1 0.5\n")
+    s = sparse.read_matrix_market(path)
+    total = 1.0
+    for _ in range(tail):
+        total += 1e-16
+    assert total == 1.0
+    assert s.values.tolist() == [1.0, 0.5, 0.0]
+    assert np.signbit(s.values[2])
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Arguments of each call to the Matrix Market line scan."""
+    calls = []
+    scan = sparse._scan_mm_entries
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(sparse, "_scan_mm_entries", spy)
+    return calls
+
+
+def test_matrix_market_written_files_skip_the_line_scan(tmp_path, scan_calls,
+                                                        dense_family_file):
+    rng = np.random.default_rng(8)
+    s = sparse.from_dense((rng.random((9, 5)) < 0.5) * rng.standard_normal((9, 5)))
+    sparse.write_matrix_market(s, tmp_path / "w.mtx")
+    assert sparse.read_matrix_market(tmp_path / "w.mtx") == s
+    x, path = dense_family_file
+    assert sparse.read_matrix_market(path) == x
+    assert scan_calls == []
+
+
+_TWO_BY_THREE = [[0.5, 0.0, 2.5], [-1.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("header.mtx", _BANNER + "% a\n\n%\n  \n2 3 3\n1 3 2.5\n2 1 -1.0\n1 1 0.5\n"),
+    ("crlf.mtx", (_BANNER + "% a\n2 3 3\n1 3 2.5\n2 1 -1.0\n1 1 0.5\n")
+     .replace("\n", "\r\n")),
+    ("cr.mtx", (_BANNER + "% a\n2 3 3\n1 3 2.5\n2 1 -1.0\n1 1 0.5\n")
+     .replace("\n", "\r")),
+    ("blank.mtx", _BANNER + "2 3 3\n\n1 3 2.5\n  \n\t\n2 1 -1.0\n\n1 1 0.5\n\n"),
+], ids=["header-comments", "crlf", "cr", "body-blanks"])
+def test_matrix_market_fast_path_takes(tmp_path, scan_calls, name, text):
+    # A wrong skiprows count would still read right, through the scan.
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    s = sparse.read_matrix_market(path)
+    assert np.array_equal(sparse.to_dense(s), _TWO_BY_THREE)
+    assert scan_calls == []
+
+
+@pytest.mark.parametrize("name, body", [
+    ("comment.mtx", "1 3 2.5\n% mid\n2 1 -1.0\n1 1 0.5\n"),
+    ("plain.mtx.gz", "1 3 2.5\n2 1 -1.0\n1 1 0.5\n"),
+], ids=["body-comment", "plain-gz"])
+def test_matrix_market_fast_path_misses_read_through_the_scan(
+        tmp_path, scan_calls, name, body):
+    path = tmp_path / name
+    path.write_text(_BANNER + "% head\n2 3 3\n" + body)
+    s = sparse.read_matrix_market(path)
+    assert np.array_equal(sparse.to_dense(s), _TWO_BY_THREE)
+    assert len(scan_calls) == 1 and scan_calls[0][4] == 3
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_matrix_market_reads_a_pipe(scan_calls):
+    # More than one read buffer of text, so a second open of the pipe
+    # would start mid-file.
+    s = sparse.from_dense(np.arange(1.0, 3001.0).reshape(1500, 2))
+    text = _BANNER + "1500 2 3000\n" + "".join(
+        f"{k // 2 + 1} {k % 2 + 1} {v!r}\n" for k, v in enumerate(s.values.tolist()))
+    assert len(text) > 8192
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(text.encode())
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert sparse.read_matrix_market(f"/dev/fd/{r}") == s
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(scan_calls) == 1
 
 
 def test_max_abs_and_enc_beta():
