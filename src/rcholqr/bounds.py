@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dense, norms, sparse
 from .errors import AssumptionViolated, ParamError, RankDeficient
 from .sketch import EmbeddingParams, combine_embedding
@@ -272,7 +270,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     norm_x = float(sv[0])
     if norm_x == 0.0:
         raise RankDeficient("zero matrix has no condition number")
-    eta_m = float(np.max(np.abs(xd))) / norm_x
+    eta_m = profile.c / norm_x
     j_m = norms.g_norm(xd) / norm_x
     kappa = float(sv[0] / sv[-1]) if sv[-1] >= 1e-300 else math.inf
     limit = kappa_limit(profile, params, m, n, eta_m, j_m, u)

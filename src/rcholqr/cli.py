@@ -140,9 +140,8 @@ def _cmd_factorize(args) -> int:
         print(f"CholeskyBreakdown: stage {err.stage}, pivot {err.index}",
               file=sys.stderr)
         return 2
-    d = result.diagnostics
-    print(f"orthogonality {d.orthogonality:.6e}")
-    print(f"residual {d.residual:.6e}")
+    print(f"orthogonality {qr.orthogonality(result.q):.6e}")
+    print(f"residual {qr.residual(result.q, result.r, x):.6e}")
     if args.out_q:
         sparse.write_matrix_market(sparse.from_dense(result.q), args.out_q)
     if args.out_r:

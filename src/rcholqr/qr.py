@@ -1,15 +1,17 @@
-"""The four factorization algorithms and their quality metrics.
+"""The factorization algorithms, and the two measures of their quality.
 
-All variants share the same skeleton: form a Gram matrix (of the input or of
-a sketched copy), Cholesky it, solve a triangular system, and repeat once to
-repair the orthogonality of the first pass.  A failed Cholesky pivot raises
-:class:`CholeskyBreakdown` tagged with the stage; the bench harness counts
-these rather than aborting.
+CholeskyQR2 and the sketched variants share one skeleton: factor the Gram
+matrix of A, precondition X with that factor, and run one more CholeskyQR
+pass.  A is X itself for CholeskyQR2 and a sketch of X for the others.  A
+failed Cholesky pivot raises :class:`CholeskyBreakdown` tagged with the
+stage; the bench harness counts these rather than aborting.  The
+factorizations return only Q and R: callers that want ``orthogonality``
+and ``residual`` compute them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +20,19 @@ from .bounds import MR, SR, SketchParams
 from .errors import CholeskyBreakdown, DimensionError
 from .norms import fro_norm
 
-
-@dataclass
-class QRDiagnostics:
-    orthogonality: float
-    residual: float
-    stages_completed: list[str] = field(default_factory=list)
+_SKETCHED = ("sketch-cholesky", "refine-cholesky")
 
 
 @dataclass
 class QRResult:
     q: np.ndarray
     r: np.ndarray
-    diagnostics: QRDiagnostics
 
 
 def orthogonality(q) -> float:
     """||Q^T Q - I||_F."""
-    q = dense.as_matrix(q)
-    if q.shape[0] < q.shape[1]:
-        raise DimensionError(f"need rows >= cols, got {q.shape}")
-    return fro_norm(dense.gram(q) - np.eye(q.shape[1]))
+    g = dense.gram(q)
+    return fro_norm(g - np.eye(g.shape[0]))
 
 
 def residual(q, r, x) -> float:
@@ -50,60 +44,38 @@ def residual(q, r, x) -> float:
     return fro_norm(dense.matmul(q, r) - x)
 
 
-def _one_pass(x: np.ndarray, stage: str):
-    """Single Gram/Cholesky/solve pass; breakdown is tagged with ``stage``."""
-    g = dense.gram(x)
+def _gram_factor(a, stage: str) -> np.ndarray:
+    """Cholesky factor of A^T A; a breakdown is tagged with ``stage``."""
     try:
-        r = dense.cholesky(g)
+        return dense.cholesky(dense.gram(a))
     except CholeskyBreakdown as err:
         raise CholeskyBreakdown(err.index, stage) from None
-    return dense.trisolve_right(x, r), r
 
 
-def _finish(q, r, x, stages) -> QRResult:
-    r = np.triu(r)
-    return QRResult(q, r, QRDiagnostics(orthogonality(q), residual(q, r, x), stages))
-
-
-def _require_tall(x) -> np.ndarray:
-    x = dense.as_matrix(x)
-    if x.shape[0] < x.shape[1]:
-        raise DimensionError(f"need rows >= cols, got {x.shape}")
-    return x
+def _two_pass(x, a, stages: tuple[str, str]) -> QRResult:
+    """Precondition X with the factor Y of A's Gram matrix, then run one
+    CholeskyQR pass on W = X Y^{-1}; R is the product of the two factors."""
+    y = _gram_factor(a, stages[0])
+    w = dense.trisolve_right(x, y)
+    z = _gram_factor(w, stages[1])
+    return QRResult(dense.trisolve_right(w, z), np.triu(dense.matmul(z, y)))
 
 
 def cholesky_qr(x) -> QRResult:
     """Single-pass factorization; orthogonality degrades like kappa^2 u."""
-    x = _require_tall(x)
-    q, r = _one_pass(x, "first-cholesky")
-    return _finish(q, r, x, ["first-cholesky"])
+    r = _gram_factor(x, "first-cholesky")
+    return QRResult(dense.trisolve_right(x, r), np.triu(r))
 
 
 def cholesky_qr2(x) -> QRResult:
-    """Two chained passes; R is the product of the stage factors."""
-    x = _require_tall(x)
-    w, y = _one_pass(x, "first-cholesky")
-    q, z = _one_pass(w, "second-cholesky")
-    return _finish(q, dense.matmul(z, y), x, ["first-cholesky", "second-cholesky"])
-
-
-def _refine_sketched(x: np.ndarray, a: np.ndarray) -> QRResult:
-    """Shared tail of the sketched variants: factor the sketched copy,
-    precondition X with it, then run one deterministic pass."""
-    g = dense.gram(a)
-    try:
-        y = dense.cholesky(g)
-    except CholeskyBreakdown as err:
-        raise CholeskyBreakdown(err.index, "sketch-cholesky") from None
-    w = dense.trisolve_right(x, y)
-    q, z = _one_pass(w, "refine-cholesky")
-    return _finish(q, dense.matmul(z, y), x, ["sketch-cholesky", "refine-cholesky"])
+    """Two chained passes: the first preconditions X with its own factor."""
+    return _two_pass(x, x, ("first-cholesky", "second-cholesky"))
 
 
 def _require_sketchable(x, out_rows: int) -> np.ndarray:
-    """X is tall and the sketch has s >= n rows, checked before the sketch
-    is drawn; applying it checks that X has the rows it expects."""
-    x = _require_tall(x)
+    """The sketch has s >= n rows, checked before it is drawn; applying it
+    checks that X has the rows it expects."""
+    x = dense.as_matrix(x)
     if out_rows < x.shape[1]:
         raise DimensionError(f"need n <= s, got n={x.shape[1]}, s={out_rows}")
     return x
@@ -112,13 +84,13 @@ def _require_sketchable(x, out_rows: int) -> np.ndarray:
 def sr_cholesky_qr2(x, gauss: sketch.GaussianSketchOp) -> QRResult:
     """Gaussian-sketched variant: precondition with the factor of (Omega X)."""
     x = _require_sketchable(x, gauss.out_rows)
-    return _refine_sketched(x, sketch.apply_gaussian(gauss, x))
+    return _two_pass(x, sketch.apply_gaussian(gauss, x), _SKETCHED)
 
 
 def mr_cholesky_qr2(x, multi: sketch.MultiSketchOp) -> QRResult:
     """Composed-sketch variant: CountSketch then Gaussian before the first pass."""
     x = _require_sketchable(x, multi.gauss.out_rows)
-    return _refine_sketched(x, sketch.apply_multi(multi, x))
+    return _two_pass(x, sketch.apply_multi(multi, x), _SKETCHED)
 
 
 def factorize(params: SketchParams, x, seed: int) -> QRResult:

@@ -182,9 +182,7 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     ``dense.matmul(op.entries, X)``.  An error in either worker stops both
     and is raised here.
     """
-    if isinstance(x, sparse.CSRMatrix):
-        x = sparse.to_dense(x)
-    x = dense.as_matrix(x, "right operand")
+    x = sparse.as_dense(x)
     if x.shape[0] != op.in_rows:
         raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
     s = op.out_rows
@@ -309,7 +307,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
         lo, hi = (float(e) for e in eps)
     if not (0.0 <= lo <= 1.0 and hi >= 0.0):
         raise ParamError(f"need 0 <= eps_lo <= 1 and eps_hi >= 0, got ({lo}, {hi})")
-    x = sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix) else dense.as_matrix(x)
+    x = sparse.as_dense(x)
     rng = _philox(seed)
     coeff = rng.standard_normal((x.shape[1], trials))
     vectors = dense.matmul(x, coeff)

@@ -104,7 +104,7 @@ def profile_sparsity(x: CSRMatrix, dense_fraction: float = 0.25) -> SparsityProf
     v = int(dense_mask.sum())
     t1 = int(counts[dense_mask].max()) if v else 0
     t2 = int(counts[~dense_mask].max()) if v < x.cols else 0
-    c = float(np.max(np.abs(x.values[live]))) if live.any() else 0.0
+    c = max_abs(x)
     if v == x.cols:
         kind = DENSE
     elif v > 0:
@@ -122,6 +122,13 @@ def to_dense(s: CSRMatrix) -> np.ndarray:
     out = np.zeros((s.rows, s.cols))
     out[_entry_rows(s), s.col_idx] = s.values
     return out
+
+
+def as_dense(x) -> np.ndarray:
+    """A CSR matrix densified, anything else checked by ``dense.as_matrix``."""
+    if isinstance(x, CSRMatrix):
+        return to_dense(x)
+    return dense.as_matrix(x)
 
 
 def from_dense(d) -> CSRMatrix:

@@ -19,7 +19,6 @@ from rcholqr.errors import CholeskyBreakdown
 from rcholqr.generators import GeneratorSpec, make_dense
 from rcholqr.sketch import (
     build_gaussian,
-    build_multisketch,
     combine_embedding,
     countsketch_min_rows,
     mix_seed,
@@ -87,18 +86,18 @@ def test_criterion_2_breakdown_frontier():
 def test_criterion_3_dense_deterministic_boundary():
     ok = make_dense(GeneratorSpec("dense", sigma=1e-8, seed=3))
     res = qr.cholesky_qr2(ok)
-    assert res.diagnostics.orthogonality <= 5e-14
+    orth = qr.orthogonality(res.q)
+    assert orth <= 5e-14
     bad = make_dense(GeneratorSpec("dense", sigma=1.25e-9, seed=3))
     with pytest.raises(CholeskyBreakdown):
         qr.cholesky_qr2(bad)
     print(f"\n[criterion 3] PASS: kappa 1e8 orth "
-          f"{res.diagnostics.orthogonality:.2e}, kappa 8e8 breakdown")
+          f"{orth:.2e}, kappa 8e8 breakdown")
 
 
 def test_criterion_4_bound_soundness():
     x = make_dense(GeneratorSpec("dense", sigma=1e-2, block_size=10,
                                  block_count=200, seed=1))
-    m = x.shape[0]
     configs = [
         (CHOLQR2, SketchParams.none(), 100),
         (SR, SketchParams.single(0.5, 0.6, 100),
@@ -112,15 +111,9 @@ def test_criterion_4_bound_soundness():
         assert report.admissible, alg
         held = 0
         for i in range(100):
-            seed = mix_seed(2025, i)
-            if alg == MR:
-                res = qr.mr_cholesky_qr2(x, build_multisketch(800, 100, m, seed))
-            elif alg == SR:
-                res = qr.sr_cholesky_qr2(x, build_gaussian(100, m, seed))
-            else:
-                res = qr.cholesky_qr2(x)
-            held += (res.diagnostics.orthogonality <= report.predicted_orth
-                     and res.diagnostics.residual <= report.predicted_resid)
+            res = qr.factorize(params, x, mix_seed(2025, i))
+            held += (qr.orthogonality(res.q) <= report.predicted_orth
+                     and qr.residual(res.q, res.r, x) <= report.predicted_resid)
         assert held >= need, (alg, held)
         if alg == CHOLQR2:
             assert held == 100

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from rcholqr import bench, sparse
+from rcholqr import bench, qr, sketch, sparse
 from rcholqr.bench import ExperimentConfig, emit_csv, run_experiment
 from rcholqr.bounds import CHOLQR2, MR, SR
 from rcholqr.cli import main
-from rcholqr.errors import ParamError
+from rcholqr.errors import CholeskyBreakdown, ParamError
 from rcholqr.generators import GeneratorSpec
 
 
@@ -35,6 +35,51 @@ def test_run_experiment_mr_and_sr():
         records, summary = run_experiment(config)
         assert summary.successes == 4
         assert summary.mean_orthogonality <= 1e-13
+
+
+def test_metrics_are_computed_by_run_experiment_only(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(qr, name)
+
+        def wrapper(*args):
+            value = real(*args)
+            calls.append((name, value.hex()))
+            return value
+        monkeypatch.setattr(qr, name, wrapper)
+
+    spy("orthogonality")
+    spy("residual")
+    x = bench.load_input(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2))
+    m = x.shape[0]
+    qr.cholesky_qr2(x)
+    qr.sr_cholesky_qr2(x, sketch.build_gaussian(100, m, seed=1))
+    qr.mr_cholesky_qr2(x, sketch.build_multisketch(700, 100, m, seed=1))
+    assert calls == []  # the factorizations return Q and R only
+
+    # every second cholqr2 trial breaks down
+    real_cholqr2 = qr.cholesky_qr2
+    count = [0]
+
+    def every_second_breaks(a):
+        count[0] += 1
+        if count[0] % 2 == 0:
+            raise CholeskyBreakdown(0, "first-cholesky")
+        return real_cholqr2(a)
+
+    monkeypatch.setattr(qr, "cholesky_qr2", every_second_breaks)
+    for alg, sizes in ((CHOLQR2, {}), (SR, dict(s1=100)),
+                       (MR, dict(s1=700, s2=100))):
+        calls.clear()
+        records, _ = run_experiment(
+            ExperimentConfig(generator=small_t1(), algorithm=alg, trials=4,
+                             **sizes), x=x)
+        done = [r for r in records if not r.outcome.startswith("BREAKDOWN")]
+        assert len(done) == (2 if alg == CHOLQR2 else 4), alg
+        assert calls == [call for r in done for call in (
+            ("orthogonality", r.orthogonality.hex()),
+            ("residual", r.residual.hex()))], alg
 
 
 def test_run_experiment_breakdowns_counted():

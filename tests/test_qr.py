@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcholqr import dense, qr, sketch
-from rcholqr.bounds import U
+from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams
 from rcholqr.errors import CholeskyBreakdown, DimensionError
 from rcholqr.generators import GeneratorSpec, make_dense, make_t1
 
@@ -18,7 +18,7 @@ def test_cholesky_qr_identity():
     res = qr.cholesky_qr(np.eye(4))
     assert np.array_equal(res.q, np.eye(4))
     assert np.array_equal(res.r, np.eye(4))
-    assert res.diagnostics.orthogonality == 0.0
+    assert qr.orthogonality(res.q) == 0.0
 
 
 def test_cholesky_qr_column():
@@ -34,10 +34,10 @@ def test_single_pass_orthogonality_tracks_condition():
                                  block_count=400, seed=2))
     m, n = x.shape
     kappa = dense.cond2(x)
-    single = qr.cholesky_qr(x).diagnostics.orthogonality
+    single = qr.orthogonality(qr.cholesky_qr(x).q)
     assert single > 100 * U
     assert single <= 5 * kappa * kappa * (m * n * U + n * (n + 1) * U)
-    double = qr.cholesky_qr2(x).diagnostics.orthogonality
+    double = qr.orthogonality(qr.cholesky_qr2(x).q)
     assert double <= 100 * (m * n * U + n * (n + 1) * U)
 
 
@@ -52,9 +52,8 @@ def test_cholesky_qr2_orthonormal_input():
 def test_cholesky_qr2_t1_family():
     x = t1_dense(1e-4)
     res = qr.cholesky_qr2(x)
-    assert res.diagnostics.orthogonality <= 5e-14
-    assert res.diagnostics.residual <= 5e-12
-    assert res.diagnostics.stages_completed == ["first-cholesky", "second-cholesky"]
+    assert qr.orthogonality(res.q) <= 5e-14
+    assert qr.residual(res.q, res.r, x) <= 5e-12
     assert np.all(np.diagonal(res.r) > 0)
     assert np.array_equal(res.r, np.triu(res.r))
 
@@ -66,6 +65,29 @@ def test_cholesky_qr2_breakdown_tagged():
     assert info.value.stage == "first-cholesky"
 
 
+@pytest.mark.parametrize("params, stage", [
+    (SketchParams(CHOLQR2), "second-cholesky"),
+    (SketchParams(SR, s1=40), "refine-cholesky"),
+    (SketchParams(MR, s1=100, s2=40), "refine-cholesky"),
+])
+def test_second_cholesky_breakdown_tagged(monkeypatch, params, stage):
+    calls = []
+    real = dense.cholesky
+
+    def second_breaks(g):
+        calls.append(g.shape)
+        if len(calls) == 2:
+            raise CholeskyBreakdown(3)
+        return real(g)
+
+    monkeypatch.setattr(dense, "cholesky", second_breaks)
+    x = t1_dense(1e-4, q=10)  # 200 x 20
+    with pytest.raises(CholeskyBreakdown) as info:
+        qr.factorize(params, x, seed=9)
+    assert (info.value.stage, info.value.index) == (stage, 3)
+    assert calls == [(20, 20), (20, 20)]
+
+
 def test_requires_tall_input():
     with pytest.raises(DimensionError):
         qr.cholesky_qr2(np.ones((2, 3)))
@@ -74,15 +96,14 @@ def test_requires_tall_input():
 def test_sr_identity_matrix():
     op = sketch.build_gaussian(4, 4, seed=1)
     res = qr.sr_cholesky_qr2(np.eye(4), op)
-    assert res.diagnostics.orthogonality <= 10 * 4 * U
+    assert qr.orthogonality(res.q) <= 10 * 4 * U
 
 
 def test_sr_t1_family():
     x = t1_dense(1e-4)
     op = sketch.build_gaussian(500, x.shape[0], seed=42)
     res = qr.sr_cholesky_qr2(x, op)
-    assert res.diagnostics.orthogonality <= 1e-13
-    assert res.diagnostics.stages_completed == ["sketch-cholesky", "refine-cholesky"]
+    assert qr.orthogonality(res.q) <= 1e-13
 
 
 def spy_draws(monkeypatch):
@@ -123,15 +144,15 @@ def test_mr_degenerate_passthrough():
     # pure permutation pass-through
     op = sketch.build_multisketch(4, 4, 4, seed=42)
     res = qr.mr_cholesky_qr2(np.eye(4), op)
-    assert res.diagnostics.orthogonality <= 10 * 4 * U
+    assert qr.orthogonality(res.q) <= 10 * 4 * U
 
 
 def test_mr_t1_family():
     x = t1_dense(1e-4)
     op = sketch.build_multisketch(2800, 500, x.shape[0], seed=7)
     res = qr.mr_cholesky_qr2(x, op)
-    assert res.diagnostics.orthogonality <= 1e-13
-    assert res.diagnostics.residual <= 5e-12
+    assert qr.orthogonality(res.q) <= 1e-13
+    assert qr.residual(res.q, res.r, x) <= 5e-12
 
 
 def test_mr_sketch_breakdown_stage():
@@ -151,7 +172,7 @@ def test_results_deterministic():
     b = qr.mr_cholesky_qr2(x, op2)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.r, b.r)
-    assert a.diagnostics.orthogonality == b.diagnostics.orthogonality
+    assert qr.orthogonality(a.q) == qr.orthogonality(b.q)
 
 
 def test_column_space_matches_householder():
