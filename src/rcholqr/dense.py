@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     CholeskyBreakdown,
     DimensionError,
-    RankDeficient,
     SingularTriangular,
     SymmetryError,
 )
@@ -303,12 +302,15 @@ def cholesky(g) -> np.ndarray:
     Only the upper triangle of ``g`` is referenced.  Raises
     :class:`CholeskyBreakdown` with the pivot index as soon as a pivot is
     non-positive or non-finite; no shifting or perturbation is attempted.
+    Entries are not checked for finiteness first: an inf or NaN in the
+    upper triangle (an overflowed Gram matrix) makes that pivot or a later
+    one non-finite or non-positive, so it is a breakdown too.
     """
-    g = as_matrix(g, "gram matrix")
-    n = g.shape[0]
-    if g.shape[1] != n:
-        raise DimensionError(f"expected square matrix, got {g.shape}")
-    a = np.triu(g).copy()
+    g = np.asarray(g, dtype=np.float64)
+    n = g.shape[0] if g.ndim == 2 else 0
+    if n < 1 or g.shape[1] != n:
+        raise DimensionError(f"expected non-empty square matrix, got {g.shape}")
+    a = np.triu(g)
     r = np.zeros((n, n))
     for k in range(n):
         pivot = a[k, k]
@@ -353,11 +355,11 @@ def trisolve_right(x, r) -> np.ndarray:
     return w
 
 
-def sym_eigenvalues(s, max_sweeps: int = 100) -> np.ndarray:
+def sym_eigenvalues(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi.
 
     Sweeps run until the off-diagonal Frobenius mass drops below
-    1e-14 * ||S||_F or ``max_sweeps`` is hit.
+    1e-14 * ||S||_F, or for at most 100 sweeps.
     """
     s = as_matrix(s, "symmetric matrix")
     n = s.shape[0]
@@ -368,7 +370,7 @@ def sym_eigenvalues(s, max_sweeps: int = 100) -> np.ndarray:
         raise SymmetryError("input is not symmetric to 1e-12 relative")
     a = 0.5 * (s + s.T)
     threshold_sq = (1e-14 * fro) ** 2
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off_sq = float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))
         if not off_sq > threshold_sq:
             break
@@ -411,10 +413,3 @@ def singular_values(x) -> np.ndarray:
     lam = sym_eigenvalues(gram(x))
     return np.sqrt(np.maximum(lam, 0.0))
 
-
-def cond2(x) -> float:
-    """2-norm condition number sigma_1 / sigma_n; see singular_values."""
-    sv = singular_values(x)
-    if sv[-1] < 1e-300:
-        raise RankDeficient("smallest singular value is numerically zero")
-    return float(sv[0] / sv[-1])

@@ -51,10 +51,3 @@ class ParseError(RcholqrError):
 class AssumptionViolated(RcholqrError):
     """An embedding quality assumption fails, leaving a bound undefined."""
 
-
-class UndefinedRatio(RcholqrError):
-    """A norm ratio is undefined because the matrix is zero."""
-
-
-class EncUndefined(UndefinedRatio):
-    """Element-norm-condition coefficient is undefined for a zero matrix."""

@@ -1,4 +1,4 @@
-"""Frobenius, spectral, and max-column-norm ("g") norms."""
+"""Frobenius and max-column-norm ("g") norms."""
 
 from __future__ import annotations
 
@@ -10,14 +10,6 @@ from . import dense, sparse
 def fro_norm(x) -> float:
     x = sparse.as_dense(x)
     return float(np.sqrt(dense.fixed_sum(x * x)))
-
-
-def two_norm(x) -> float:
-    """Largest singular value (Gram eigenvalues; wide inputs transposed)."""
-    x = sparse.as_dense(x)
-    if x.shape[0] < x.shape[1]:
-        x = x.T
-    return float(dense.singular_values(x)[0])
 
 
 def g_bracket(x) -> float:

@@ -10,14 +10,13 @@ draws it from the seed in row blocks, in stream order, and never stores
 it; consecutive draws continue one Philox stream, so the blocks are
 bitwise the rows of the one-shot ``standard_normal((s, m))``.  Each
 output row is reduced from its own row of the operator alone, so the
-result bits depend neither on the block size nor on which worker reduces
-a block.
+result bits depend neither on the block size nor on which of its two
+workers, the caller and a thread started for the call, reduces a block.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent import futures
 from dataclasses import dataclass
 from math import floor, sqrt
 
@@ -141,20 +140,6 @@ def apply_countsketch(op: CountSketchOp, x) -> np.ndarray:
     return out
 
 
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _helper_pool() -> futures.ThreadPoolExecutor:
-    """The one helper thread of :func:`apply_gaussian`, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="rcholqr-sketch")
-        return _helper
-
-
 def _block_rows(s: int, m_in: int) -> int:
     """Rows per drawn block of an s x m_in Gaussian operator.
 
@@ -175,7 +160,8 @@ def _block_rows(s: int, m_in: int) -> int:
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     """Omega X with Omega drawn from its seed one row block at a time.
 
-    Two workers, the caller and one helper thread, take row blocks in turn.
+    Two workers, the caller and a helper thread started for this call and
+    joined before it returns, take row blocks in turn.
     Each draws its block under a lock, so the stream is read in row order
     whoever takes a block, checks it is finite, and reduces it against X
     into its own rows of the result.  The bits equal
@@ -192,6 +178,7 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     rng = _philox(op.seed)
     lock = threading.Lock()
     next_row, stop = 0, False
+    errors = []
 
     def work():
         nonlocal next_row, stop
@@ -207,23 +194,19 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
                     raise ValueError("Gaussian operator contains non-finite entries")
                 out[i0:i1] = dense._reduce(block, bs)
                 del block  # before the next draw, so a worker holds one block
-        except BaseException:
+        except BaseException as exc:
             stop = True
-            raise
+            errors.append(exc)
 
     if rows >= s:
         work()
-        return out
-    helper = _helper_pool().submit(work)
-    error = None
-    try:
+    else:
+        helper = threading.Thread(target=work, name="rcholqr-sketch")
+        helper.start()
         work()
-    finally:
-        # a helper that never started (busy, or lost in a fork) is dropped
-        if not helper.cancel():
-            error = helper.exception()
-    if error is not None:
-        raise error
+        helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

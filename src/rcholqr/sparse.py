@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dense
-from .errors import DimensionError, EncUndefined, ParamError, ParseError
+from .errors import DimensionError, ParamError, ParseError
 
 T1 = "T1"
 T2 = "T2"
@@ -144,20 +144,6 @@ def from_dense(d) -> CSRMatrix:
 def max_abs(s: CSRMatrix) -> float:
     """Largest entry magnitude."""
     return float(np.max(np.abs(s.values))) if s.nnz else 0.0
-
-
-def enc_beta(s: CSRMatrix) -> float:
-    """Element-norm-condition coefficient beta = m * c^2 / ||X||_2^2.
-
-    Scale-invariant; bounded in the number of stacked block copies for the
-    block-structured generator families.
-    """
-    c = max_abs(s)
-    if c == 0.0:
-        raise EncUndefined("beta is undefined for the zero matrix")
-    x = to_dense(s)
-    two = dense.singular_values(x if s.rows >= s.cols else x.T)[0]
-    return float(s.rows) * c * c / (two * two)
 
 
 # ---------------------------------------------------------------------------

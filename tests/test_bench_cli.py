@@ -92,6 +92,24 @@ def test_run_experiment_breakdowns_counted():
     assert all(r.orthogonality is None and r.residual is None for r in records)
 
 
+def _overflowing_gram_input():
+    # finite entries whose Gram matrix overflows to inf
+    return np.random.default_rng(0).standard_normal((2000, 5)) * 1e160
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alg,kw,stage", [
+    (CHOLQR2, {}, "first-cholesky"),
+    (SR, dict(s1=100), "sketch-cholesky"),
+    (MR, dict(s1=700, s2=100), "sketch-cholesky"),
+])
+def test_run_experiment_overflowing_gram_is_a_breakdown(alg, kw, stage):
+    config = ExperimentConfig(generator=small_t1(), algorithm=alg, trials=2, **kw)
+    records, summary = run_experiment(config, _overflowing_gram_input())
+    assert summary.successes == 0
+    assert all(r.outcome == f"BREAKDOWN({stage})" for r in records)
+
+
 def test_trial_seeds_prefix_stable():
     short = ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2, trials=2,
                              master_seed=9)
@@ -183,6 +201,14 @@ def test_cli_factorize_breakdown_exit_code(tmp_path, capsys):
     mtx = tmp_path / "bad.mtx"
     main(["gen", "--family", "t1", "--sigma", "2e-8", "--blocks", "100",
           "--block-size", "20", "--out", str(mtx)])
+    assert main(["factorize", "--in", str(mtx), "--alg", "cholqr2"]) == 2
+    assert "CholeskyBreakdown" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_factorize_overflowing_gram_exit_code(tmp_path, capsys):
+    mtx = tmp_path / "huge.mtx"
+    sparse.write_matrix_market(sparse.from_dense(_overflowing_gram_input()), mtx)
     assert main(["factorize", "--in", str(mtx), "--alg", "cholqr2"]) == 2
     assert "CholeskyBreakdown" in capsys.readouterr().err
 

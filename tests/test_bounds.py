@@ -5,7 +5,7 @@ import pytest
 
 from rcholqr import bounds, sparse
 from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams
-from rcholqr.errors import AssumptionViolated, ParamError
+from rcholqr.errors import AssumptionViolated, ParamError, RankDeficient
 from rcholqr.generators import GeneratorSpec, make_t1
 from rcholqr.sparse import SparsityProfile
 
@@ -265,6 +265,11 @@ def test_build_bound_report_constants_pinned():
     for alg, (params, pairs) in expected.items():
         report = bounds.build_bound_report(x, alg, params)
         assert list(report.constants.items()) == pairs, alg
+
+
+def test_build_bound_report_zero_matrix_raises():
+    with pytest.raises(RankDeficient):
+        bounds.build_bound_report(np.zeros((40, 3)), CHOLQR2, NO_SKETCH)
 
 
 def test_build_bound_report_rejects_mismatched_params():

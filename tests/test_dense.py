@@ -9,7 +9,6 @@ from rcholqr.bounds import CHOLQR2, gamma
 from rcholqr.errors import (
     CholeskyBreakdown,
     DimensionError,
-    RankDeficient,
     SingularTriangular,
     SymmetryError,
 )
@@ -223,6 +222,25 @@ def test_cholesky_indefinite_breaks():
     assert info.value.index == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g,index", [
+    ([[np.inf]], 0),
+    ([[np.nan]], 0),
+    ([[1.0, np.inf], [np.inf, 4.0]], 1),
+])
+def test_cholesky_non_finite_entry_is_a_breakdown(g, index):
+    # an overflowed Gram matrix is a breakdown, not an invalid argument
+    with pytest.raises(CholeskyBreakdown) as info:
+        dense.cholesky(g)
+    assert info.value.index == index
+
+
+@pytest.mark.parametrize("g", [np.ones(3), np.ones((0, 0)), np.ones((2, 3))])
+def test_cholesky_rejects_bad_shapes(g):
+    with pytest.raises(DimensionError):
+        dense.cholesky(g)
+
+
 def test_cholesky_backward_error_property():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -317,7 +335,6 @@ def test_sym_eigenvalues_rejects_nonsymmetric():
 def test_singular_values_identity():
     sv = dense.singular_values(np.eye(5))
     assert np.allclose(sv, 1.0, rtol=0, atol=1e-14)
-    assert dense.cond2(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_singular_values_column():
@@ -328,11 +345,6 @@ def test_singular_values_orthonormal_columns():
     rng = np.random.default_rng(13)
     q, _ = np.linalg.qr(rng.standard_normal((80, 6)))
     assert np.max(np.abs(dense.singular_values(q) - 1.0)) <= 1e-12
-
-
-def test_cond2_rank_deficient():
-    with pytest.raises(RankDeficient):
-        dense.cond2(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_fixed_sum_matches_fsum_order_free_cases():

@@ -33,7 +33,7 @@ def test_single_pass_orthogonality_tracks_condition():
     x = make_dense(GeneratorSpec("dense", sigma=1e-4, block_size=5,
                                  block_count=400, seed=2))
     m, n = x.shape
-    kappa = dense.cond2(x)
+    kappa = np.linalg.cond(x)
     single = qr.orthogonality(qr.cholesky_qr(x).q)
     assert single > 100 * U
     assert single <= 5 * kappa * kappa * (m * n * U + n * (n + 1) * U)

@@ -1,4 +1,8 @@
+import os
+import signal
+import sys
 import threading
+import time
 import tracemalloc
 from math import sqrt
 
@@ -114,7 +118,7 @@ def test_gaussian_two_norm_probabilistic_bound():
     s1, s2 = 128, 32
     bound = gaussian_two_norm_bound(s2, s1)
     hits = sum(
-        norms.two_norm(sketch.build_gaussian(s2, s1, seed).entries) <= bound
+        np.linalg.norm(sketch.build_gaussian(s2, s1, seed).entries, 2) <= bound
         for seed in range(200))
     assert hits >= 190
 
@@ -209,32 +213,62 @@ def test_apply_gaussian_rejects_non_finite_input():
         sketch.apply_gaussian(op, x)
 
 
-def test_apply_gaussian_keeps_one_helper_thread():
+def test_apply_gaussian_leaves_no_helper_thread():
     x = np.ones((2800, 2))
     op = sketch.build_gaussian(500, 2800, seed=25)
-    sketch.apply_gaussian(op, x)
     before = threading.active_count()
     for _ in range(20):
         sketch.apply_gaussian(op, x)
     assert threading.active_count() == before
-    helpers = [t for t in threading.enumerate() if t.name.startswith("rcholqr-sketch")]
-    assert len(helpers) == 1
+    assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
 
 
-def test_apply_gaussian_does_not_wait_for_a_busy_helper():
-    # a helper that never takes its share (busy here; absent in a forked
-    # child) leaves every block to the caller
-    release = threading.Event()
-    busy = sketch._helper_pool().submit(release.wait, 60)
+def test_apply_gaussian_from_concurrent_callers():
+    # more callers than cores, switching often: each call's two workers
+    # must still share only their own call's stream and rows
+    x = np.random.default_rng(28).standard_normal((2800, 3))
+    ops = [sketch.build_gaussian(500, 2800, seed=seed) for seed in (29, 30, 31, 32)]
+    got = [None] * len(ops)
+
+    def call(i):
+        got[i] = sketch.apply_gaussian(ops[i], x)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(ops))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        x = np.random.default_rng(28).standard_normal((2800, 3))
-        op = sketch.build_gaussian(500, 2800, seed=29)
-        got = sketch.apply_gaussian(op, x)
-        returned_first = not busy.done()
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
     finally:
-        release.set()
-    assert returned_first
-    assert _same_bits(got, dense.matmul(op.entries, x))
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for op, y in zip(ops, got):
+        assert _same_bits(y, dense.matmul(op.entries, x))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_apply_gaussian_in_a_forked_child():
+    x = np.random.default_rng(33).standard_normal((2800, 3))
+    op = sketch.build_gaussian(500, 2800, seed=34)
+    want = sketch.apply_gaussian(op, x)
+    pid = os.fork()
+    if pid == 0:  # child: exit 0 only on the same bits
+        try:
+            os._exit(0 if _same_bits(sketch.apply_gaussian(op, x), want) else 1)
+        finally:
+            os._exit(2)
+    for _ in range(6000):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child did not finish in 60 s")
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def test_gaussian_memory_is_bounded():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rcholqr import sparse
-from rcholqr.errors import DimensionError, EncUndefined, ParamError, ParseError
+from rcholqr.errors import DimensionError, ParamError, ParseError
 from rcholqr.generators import GeneratorSpec, generate, make_t1, make_t2
 
 
@@ -360,23 +360,6 @@ def test_matrix_market_reads_a_pipe(scan_calls):
     assert len(scan_calls) == 1
 
 
-def test_max_abs_and_enc_beta():
+def test_max_abs():
     s = csr(np.diag([1.0, -3.0, 2.0]))
     assert sparse.max_abs(s) == 3.0
-    col = csr([[3.0], [4.0]])
-    assert sparse.enc_beta(col) == pytest.approx(1.28, abs=1e-12)
-
-
-def test_enc_beta_scale_invariant():
-    rng = np.random.default_rng(6)
-    d = rng.standard_normal((12, 3))
-    a = sparse.enc_beta(sparse.from_dense(d))
-    b = sparse.enc_beta(sparse.from_dense(7.0 * d))
-    assert b == pytest.approx(a, rel=1e-12)
-
-
-def test_enc_beta_zero_matrix():
-    z = sparse.CSRMatrix(3, 2, np.zeros(4, dtype=int), np.array([], dtype=int),
-                         np.array([]))
-    with pytest.raises(EncUndefined):
-        sparse.enc_beta(z)
