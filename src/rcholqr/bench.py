@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
 import time
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ CSV_COLUMNS = ("trial", "seed", "outcome", "orthogonality", "residual",
 
 @dataclass
 class ExperimentConfig:
-    generator: generators.GeneratorSpec | str  # spec or Matrix Market path
+    generator: generators.GeneratorSpec
     algorithm: str
     s1: int = 0  # CountSketch rows for mr; the Gaussian size for sr
     s2: int = 0
@@ -62,10 +61,7 @@ class ExperimentSummary:
 
 
 def load_input(config: ExperimentConfig) -> np.ndarray:
-    source = config.generator
-    if isinstance(source, (str, os.PathLike)):
-        return sparse.as_dense(sparse.read_matrix_market(source))
-    return sparse.as_dense(generators.generate(source))
+    return sparse.as_dense(generators.generate(config.generator))
 
 
 def run_experiment(config: ExperimentConfig,

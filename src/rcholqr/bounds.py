@@ -55,15 +55,12 @@ def check_size(m: int, n: int, u: float = U) -> tuple[bool, bool]:
     return (m * n * u <= 1.0 / 64.0, n * (n + 1) * u <= 1.0 / 64.0)
 
 
-def _assumption_rhs(m: int, n: int, u: float) -> float:
-    return (32.0 / 3.0) * math.sqrt(_size_factor(m, n, u)) + 2.0 / 87.0
-
-
 def check_assumption_multi(eps_s: float, eps_b: float, m: int, n: int,
                            u: float = U) -> bool:
     """Embedding distortion leaves enough headroom for the rounding terms."""
     lhs = math.sqrt(1.0 - eps_s) / math.sqrt(1.0 + eps_b)
-    return lhs >= _assumption_rhs(m, n, u)
+    rhs = (32.0 / 3.0) * math.sqrt(_size_factor(m, n, u)) + 2.0 / 87.0
+    return lhs >= rhs
 
 
 def const_a(eps_s: float, eps_b: float) -> float:
@@ -88,14 +85,9 @@ def gaussian_two_norm_bound(out_rows: int, in_rows: int) -> float:
     return 1.0 + C_GAUSS * (math.sqrt(in_rows / out_rows) + 3.0 / math.sqrt(out_rows))
 
 
-def countsketch_fro_norm(m: int) -> float:
-    """Exact Frobenius norm of any one-nonzero-per-coordinate operator."""
-    return math.sqrt(m)
-
-
 def const_t(s1: int, s2: int, m: int, eps1: float, u: float = U) -> float:
     """Sketching-stage rounding coefficient of the composed sketch."""
-    o1 = countsketch_fro_norm(m)
+    o1 = math.sqrt(m)  # ||CountSketch||_F: one +-1 per input coordinate
     o2 = gaussian_two_norm_bound(s2, s1)
     inner = math.sqrt(1.0 + eps1) + 1.1 * m * u * o1
     return 1.1 * s1 * u * math.sqrt(s2) * o2 * inner + 1.1 * m * u * o1 * o2
@@ -149,8 +141,8 @@ class SketchParams:
     def embedding(self) -> EmbeddingParams:
         if self.mode == MR:
             return combine_embedding(self.e1, self.p1, self.e2, self.p2)
-        if self.mode == SR:
-            return EmbeddingParams(self.e1, self.e1, self.p1)
+        if self.mode == SR:  # range-checked; adding a zero stage is exact
+            return combine_embedding(self.e1, self.p1, 0.0, 0.0)
         return EmbeddingParams(0.0, 0.0, 0.0)
 
 

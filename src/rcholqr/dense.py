@@ -118,7 +118,6 @@ def _step_major(m: np.ndarray, t0: int, t1: int, out: np.ndarray) -> None:
         out[:tail, :, nfull - t0] = m[:, nfull * _BLOCK:].T
 
 
-@_small_buffers
 def _reduce_operand(b: np.ndarray) -> np.ndarray:
     """Right operand of :func:`_reduce` in step-major order.
 
@@ -323,7 +322,6 @@ def cholesky(g) -> np.ndarray:
     return r
 
 
-@_small_buffers
 def trisolve_right(x, r) -> np.ndarray:
     """Solve W R = X for W by per-row back-substitution.
 

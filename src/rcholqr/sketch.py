@@ -11,7 +11,8 @@ it; consecutive draws continue one Philox stream, so the blocks are
 bitwise the rows of the one-shot ``standard_normal((s, m))``.  Each
 output row is reduced from its own row of the operator alone, so the
 result bits depend neither on the block size nor on which of its two
-workers, the caller and a thread started for the call, reduces a block.
+workers, the caller and a thread started on every call, reduces a block;
+:func:`densify` draws the whole operator at once, as the reference.
 """
 
 from __future__ import annotations
@@ -60,11 +61,6 @@ class GaussianSketchOp:
     out_rows: int
     in_rows: int
     seed: int
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The whole operator, drawn at once (test and measurement aid)."""
-        return _draw(_philox(self.seed), self.out_rows, self)
 
 
 @dataclass
@@ -145,12 +141,12 @@ def _block_rows(s: int, m_in: int) -> int:
 
     A function of the shape only.  Blocks hold at most about ``_DRAW``
     entries and split the rows evenly; an operator of at most ``_DRAW``
-    entries is one block, which the caller reduces alone.  The kernel's
-    inner loop is the longer of a block's rows and its m_in / 32 summation
-    blocks, and their product is near _DRAW / 32, so that loop never gets
-    shorter than about 90: 500 x 20000 splits into ten 50-row blocks with
-    625 summation blocks innermost, and 500 x 2800 into two 250-row blocks
-    with the rows innermost.
+    entries is one block, reduced by whichever worker takes it first.  The
+    kernel's inner loop is the longer of a block's rows and its m_in / 32
+    summation blocks, and their product is near _DRAW / 32, so that loop
+    never gets shorter than about 90: 500 x 20000 splits into ten 50-row
+    blocks with 625 summation blocks innermost, and 500 x 2800 into two
+    250-row blocks with the rows innermost.
     """
     rows = max(1, _DRAW // m_in)
     count = -(-s // rows)
@@ -160,13 +156,13 @@ def _block_rows(s: int, m_in: int) -> int:
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     """Omega X with Omega drawn from its seed one row block at a time.
 
-    Two workers, the caller and a helper thread started for this call and
-    joined before it returns, take row blocks in turn.
-    Each draws its block under a lock, so the stream is read in row order
-    whoever takes a block, checks it is finite, and reduces it against X
-    into its own rows of the result.  The bits equal
-    ``dense.matmul(op.entries, X)``.  An error in either worker stops both
-    and is raised here.
+    Two workers, the caller and a helper thread started on every call and
+    joined before it returns, take row blocks in turn; with one block, the
+    helper may find none left.  Each draws its block under a lock, so the
+    stream is read in row order whoever takes a block, checks it is
+    finite, and reduces it against X into its own rows of the result.
+    The bits equal ``dense.matmul(densify(op), X)``.  An error in either
+    worker stops both and is raised here.
     """
     x = sparse.as_dense(x)
     if x.shape[0] != op.in_rows:
@@ -198,13 +194,10 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
             stop = True
             errors.append(exc)
 
-    if rows >= s:
-        work()
-    else:
-        helper = threading.Thread(target=work, name="rcholqr-sketch")
-        helper.start()
-        work()
-        helper.join()
+    helper = threading.Thread(target=work, name="rcholqr-sketch")
+    helper.start()
+    work()
+    helper.join()
     if errors:
         raise errors[0]
     return out
@@ -221,7 +214,7 @@ def densify(op) -> np.ndarray:
         out[op.row_of, np.arange(op.in_rows)] = op.sign_of
         return out
     if isinstance(op, GaussianSketchOp):
-        return op.entries
+        return _draw(_philox(op.seed), op.out_rows, op)
     if isinstance(op, MultiSketchOp):
         return dense.matmul(densify(op.gauss), densify(op.count))
     raise TypeError(f"not a sketch operator: {type(op)!r}")
@@ -276,7 +269,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     Draws ``trials`` random coefficient vectors c, forms vectors X c from the
     column space of ``x``, and counts how often
     sqrt(1 - eps_lo) ||Xc|| <= ||Op Xc|| <= sqrt(1 + eps_hi) ||Xc||.
-    ``eps`` is a scalar, or an (eps_lo, eps_hi) pair for composed sketches.
+    ``eps`` is a scalar, or a composed sketch's EmbeddingParams (eps_s, eps_b).
     eps_lo must lie in [0, 1] and eps_hi must be non-negative; eps_hi > 1
     is legal, since composed sketches reach it.
     """
@@ -284,10 +277,8 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
         raise ParamError("need trials >= 1")
     if isinstance(eps, EmbeddingParams):
         lo, hi = eps.eps_s, eps.eps_b
-    elif np.ndim(eps) == 0:
-        lo = hi = float(eps)
     else:
-        lo, hi = (float(e) for e in eps)
+        lo = hi = float(eps)
     if not (0.0 <= lo <= 1.0 and hi >= 0.0):
         raise ParamError(f"need 0 <= eps_lo <= 1 and eps_hi >= 0, got ({lo}, {hi})")
     x = sparse.as_dense(x)

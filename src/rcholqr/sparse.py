@@ -6,7 +6,7 @@ import lzma
 import os
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class SparsityProfile:
     t1: int
     t2: int
     c: float
-    dense_cols: list[int] = field(default_factory=list)
     kind: str = T2
 
 
@@ -113,7 +112,6 @@ def profile_sparsity(x: CSRMatrix, dense_fraction: float = 0.25) -> SparsityProf
         kind = T2
     return SparsityProfile(
         v=v, t1=t1, t2=t2, c=c,
-        dense_cols=np.flatnonzero(dense_mask).tolist(),
         kind=kind,
     )
 

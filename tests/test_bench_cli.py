@@ -283,6 +283,22 @@ def test_cli_bounds_rejects_stage_eps_above_one(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flags", [["--eps", "0.5", "--p", "1.5"], ["--eps", "-0.5"],
+                                   ["--eps", "nan"], ["--eps", "1.5"]])
+def test_cli_bounds_sr_rejects_eps_or_p_out_of_range(tmp_path, capsys, flags):
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "10",
+          "--out", str(mtx)])  # 200 x 20
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main(["bounds", "--in", str(mtx), "--alg", "sr", "--s", "100",
+                 *flags, "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "rcholqr: error: need each stage's eps and p in [0, 1]" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_dispatch_goes_through_module_attributes(tmp_path, monkeypatch):
     # the benchmark captures R and traces calls by patching these attributes
     from rcholqr import qr, sketch

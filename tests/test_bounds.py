@@ -13,12 +13,9 @@ EXP_MULTI = SketchParams.multi(0.5, 0.6, 0.5, 0.4, 2800, 500)
 EXP_SINGLE = SketchParams.single(0.5, 0.6, 500)
 NO_SKETCH = SketchParams.none()
 
-T1_PROFILE = SparsityProfile(v=1, t1=20000, t2=2000, c=10.0,
-                             dense_cols=[0], kind=sparse.T1)
-T2_PROFILE = SparsityProfile(v=0, t1=0, t2=2000, c=10.0, dense_cols=[],
-                             kind=sparse.T2)
-DENSE_PROFILE = SparsityProfile(v=20, t1=20000, t2=0, c=1.0,
-                                dense_cols=list(range(20)), kind=sparse.DENSE)
+T1_PROFILE = SparsityProfile(v=1, t1=20000, t2=2000, c=10.0, kind=sparse.T1)
+T2_PROFILE = SparsityProfile(v=0, t1=0, t2=2000, c=10.0, kind=sparse.T2)
+DENSE_PROFILE = SparsityProfile(v=20, t1=20000, t2=0, c=1.0, kind=sparse.DENSE)
 
 
 def test_gamma():
@@ -143,8 +140,7 @@ def test_predicted_resid_u6():
 
 def test_predicted_resid_u5_equals_u6_when_masses_match():
     # eta * sqrt(v t1 + n t2) == j makes the sparse and g-norm routes agree
-    profile = SparsityProfile(v=1, t1=4, t2=0, c=1.0, dense_cols=[0],
-                              kind=sparse.T1)
+    profile = SparsityProfile(v=1, t1=4, t2=0, c=1.0, kind=sparse.T1)
     u5 = bounds.predicted_resid(profile, NO_SKETCH,
                                 100, 5, norm_x_2=3.0, eta=1.0, j=2.0)
     t2_profile = SparsityProfile(v=0, t1=0, t2=4, c=1.0, kind=sparse.T2)
@@ -281,3 +277,20 @@ def test_build_bound_report_rejects_mismatched_params():
                                                            100, 300))
     with pytest.raises(ParamError):
         SketchParams("qr")
+
+
+def test_single_embedding_is_eps_eps_p_exactly():
+    # sr's embedding goes through combine_embedding with a zero second stage
+    grid = [0.0, 5e-324, 1e-300, 0.1, 0.5, 0.6, 1.0 - 2.0 ** -53, 1.0]
+    grid += list(np.random.default_rng(2).random(20))
+    for e in grid:
+        for p in grid:
+            emb = SketchParams.single(e, p, 500).embedding()
+            assert (emb.eps_s, emb.eps_b, emb.p_f) == (e, e, p)
+
+
+@pytest.mark.parametrize("eps, p", [(0.5, 1.5), (-0.5, 0.6), (1.5, 0.6),
+                                    (math.nan, 0.6), (0.5, -0.1), (0.5, math.nan)])
+def test_single_embedding_rejects_out_of_range(eps, p):
+    with pytest.raises(ParamError, match=r"need each stage's eps and p in \[0, 1\]"):
+        SketchParams.single(eps, p, 500).embedding()

@@ -95,7 +95,7 @@ def test_apply_gaussian_dimension():
 def test_gaussian_determinism_and_zero():
     a = sketch.build_gaussian(6, 40, seed=5)
     b = sketch.build_gaussian(6, 40, seed=5)
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(sketch.densify(a), sketch.densify(b))
     assert np.array_equal(sketch.apply_gaussian(a, np.zeros((40, 2))),
                           np.zeros((6, 2)))
 
@@ -108,7 +108,7 @@ def test_gaussian_norm_expectation():
     ratios = np.empty(2000)
     for seed in range(2000):
         op = sketch.build_gaussian(10, 40, seed)
-        y = op.entries @ x
+        y = sketch.densify(op) @ x
         ratios[seed] = float(np.sum(y * y)) / x_sq
     assert 0.95 <= ratios.mean() <= 1.05
 
@@ -118,7 +118,7 @@ def test_gaussian_two_norm_probabilistic_bound():
     s1, s2 = 128, 32
     bound = gaussian_two_norm_bound(s2, s1)
     hits = sum(
-        np.linalg.norm(sketch.build_gaussian(s2, s1, seed).entries, 2) <= bound
+        np.linalg.norm(sketch.densify(sketch.build_gaussian(s2, s1, seed)), 2) <= bound
         for seed in range(200))
     assert hits >= 190
 
@@ -131,7 +131,6 @@ def _same_bits(x, y):
 def test_gaussian_entries_are_the_one_shot_draw(s, m):
     op = sketch.build_gaussian(s, m, seed=21)
     ref = np.random.Generator(np.random.Philox(key=21)).standard_normal((s, m)) / sqrt(s)
-    assert _same_bits(op.entries, ref)
     assert _same_bits(sketch.densify(op), ref)
 
 
@@ -145,7 +144,7 @@ def test_apply_gaussian_matches_matmul_of_entries(s, m):
     rng = np.random.default_rng(s + m)
     x = rng.standard_normal((m, 4))
     op = sketch.build_gaussian(s, m, seed=s)
-    assert _same_bits(sketch.apply_gaussian(op, x), dense.matmul(op.entries, x))
+    assert _same_bits(sketch.apply_gaussian(op, x), dense.matmul(sketch.densify(op), x))
 
 
 def test_gaussian_block_rows_rule():
@@ -176,7 +175,7 @@ def test_apply_gaussian_small_blocks_keep_bits(monkeypatch, draw, blocks):
     op = sketch.build_gaussian(17, 90, seed=draw)
     got = sketch.apply_gaussian(op, x)
     assert drawn == blocks
-    assert _same_bits(got, dense.matmul(op.entries, x))
+    assert _same_bits(got, dense.matmul(sketch.densify(op), x))
 
 
 def test_apply_gaussian_sparse_input_matches_dense():
@@ -184,7 +183,7 @@ def test_apply_gaussian_sparse_input_matches_dense():
     d = (rng.random((3000, 5)) < 0.05) * rng.standard_normal((3000, 5))
     op = sketch.build_gaussian(500, 3000, seed=23)
     got = sketch.apply_gaussian(op, sparse.from_dense(d))
-    assert _same_bits(got, dense.matmul(op.entries, d))
+    assert _same_bits(got, dense.matmul(sketch.densify(op), d))
 
 
 def test_apply_gaussian_non_finite_block_raises(monkeypatch):
@@ -223,6 +222,28 @@ def test_apply_gaussian_leaves_no_helper_thread():
     assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
 
 
+def test_apply_gaussian_single_block_starts_and_joins_its_helper(monkeypatch):
+    # one block: the helper finds it taken, or takes it; the bits are the same
+    assert sketch._block_rows(7, 90) == 7
+    x = np.random.default_rng(35).standard_normal((90, 4))
+    op = sketch.build_gaussian(7, 90, seed=36)
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(sketch.threading, "Thread", Spy)
+    before = threading.active_count()
+    for _ in range(5):
+        assert _same_bits(sketch.apply_gaussian(op, x),
+                          dense.matmul(sketch.densify(op), x))
+    assert started == ["rcholqr-sketch"] * 5
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
+
+
 def test_apply_gaussian_from_concurrent_callers():
     # more callers than cores, switching often: each call's two workers
     # must still share only their own call's stream and rows
@@ -245,7 +266,7 @@ def test_apply_gaussian_from_concurrent_callers():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     for op, y in zip(ops, got):
-        assert _same_bits(y, dense.matmul(op.entries, x))
+        assert _same_bits(y, dense.matmul(sketch.densify(op), x))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -372,8 +393,11 @@ def test_verify_embedding_multi_uses_interval():
     assert frac >= 0.4
 
 
-@pytest.mark.parametrize("eps", [-0.1, 1.5, np.nan, (1.5, 0.2), (-0.1, 0.5),
-                                 (0.2, -0.1), (np.nan, 0.5), (0.5, np.nan)])
+@pytest.mark.parametrize("eps", [
+    -0.1, 1.5, np.nan,
+    *(sketch.EmbeddingParams(lo, hi, 0.0)
+      for lo, hi in [(1.5, 0.2), (-0.1, 0.5), (0.2, -0.1), (np.nan, 0.5), (0.5, np.nan)]),
+])
 def test_verify_embedding_rejects_bad_eps(eps):
     x = np.random.default_rng(19).standard_normal((40, 3))
     op = sketch.build_gaussian(20, 40, seed=20)
@@ -384,7 +408,8 @@ def test_verify_embedding_rejects_bad_eps(eps):
 def test_verify_embedding_accepts_eps_hi_above_one():
     x = np.random.default_rng(22).standard_normal((40, 3))
     op = sketch.build_gaussian(20, 40, seed=23)
-    assert sketch.verify_embedding(op, x, (1.0, 3.0), trials=50, seed=24) == 1.0
+    emb = sketch.EmbeddingParams(1.0, 3.0, 0.0)
+    assert sketch.verify_embedding(op, x, emb, trials=50, seed=24) == 1.0
 
 
 def test_mix_seed_is_stable_and_spread():

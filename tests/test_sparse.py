@@ -35,7 +35,7 @@ def test_profile_all_zero():
 def test_profile_arrowhead_stack():
     x = make_t1(GeneratorSpec("t1", sigma=1e-4))
     prof = sparse.profile_sparsity(x)
-    assert prof.v == 1 and prof.dense_cols == [0]
+    assert prof.v == 1
     assert prof.t1 == 20000 and prof.t2 == 2000
     assert prof.c == 10.0
     assert prof.kind == sparse.T1
