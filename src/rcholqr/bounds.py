@@ -247,7 +247,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         csr = x
         xd = sparse.to_dense(x)
     else:
-        xd = dense.as_matrix(x)
+        xd = dense.finite_matrix(x)
         csr = sparse.from_dense(xd)
     m, n = xd.shape
     sketched = algorithm != CHOLQR2

@@ -35,12 +35,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    CholeskyBreakdown,
-    DimensionError,
-    SingularTriangular,
-    SymmetryError,
-)
+from .errors import CholeskyBreakdown, DimensionError
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -70,12 +65,19 @@ def _small_buffers(func):
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
+    """Convert to a 2-D float64 array, checking its shape only."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"{name} must be non-empty, got shape {a.shape}")
+    return a
+
+
+def finite_matrix(a, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix` that also rejects NaN and inf: the one scan of
+    X, made where it enters the package (see the README)."""
+    a = as_matrix(a, name)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -325,7 +327,8 @@ def cholesky(g) -> np.ndarray:
 def trisolve_right(x, r) -> np.ndarray:
     """Solve W R = X for W by per-row back-substitution.
 
-    ``r`` is upper triangular; the strictly lower part is never read.
+    ``r`` is a Cholesky factor: upper triangular with a positive
+    diagonal, which is not checked; the strictly lower part is never read.
     Column j of W is (X[:, j] - sum_{l<j} W[:, l] r[l, j]) / r[j, j], the
     terms subtracted in order of l.  The columns are worked on as
     contiguous rows of a transposed chunk of ``_SOLVE_ROWS`` rows of X.
@@ -336,8 +339,6 @@ def trisolve_right(x, r) -> np.ndarray:
     if r.shape != (n, n):
         raise DimensionError(f"factor shape {r.shape} does not match {x.shape}")
     diag = np.diagonal(r)
-    if np.any(diag == 0.0):
-        raise SingularTriangular("zero diagonal entry in triangular factor")
     w = np.empty((m, n))
     for c0 in range(0, m, _SOLVE_ROWS):
         rows = min(m, c0 + _SOLVE_ROWS) - c0
@@ -356,7 +357,8 @@ def trisolve_right(x, r) -> np.ndarray:
 def sym_eigenvalues(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below
+    ``s`` must be symmetric, as :func:`gram` makes it exactly.  Sweeps
+    run until the off-diagonal Frobenius mass drops below
     1e-14 * ||S||_F, or for at most 100 sweeps.
     """
     s = as_matrix(s, "symmetric matrix")
@@ -364,9 +366,7 @@ def sym_eigenvalues(s) -> np.ndarray:
     if s.shape[1] != n:
         raise DimensionError(f"expected square matrix, got {s.shape}")
     fro = float(np.sqrt(np.sum(s * s)))
-    if float(np.sqrt(np.sum((s - s.T) ** 2))) > 1e-12 * max(fro, 1e-300):
-        raise SymmetryError("input is not symmetric to 1e-12 relative")
-    a = 0.5 * (s + s.T)
+    a = s.copy()
     threshold_sq = (1e-14 * fro) ** 2
     for _ in range(100):
         off_sq = float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))

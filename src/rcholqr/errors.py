@@ -28,14 +28,6 @@ class CholeskyBreakdown(RcholqrError):
         super().__init__(f"Cholesky breakdown at pivot {index}{where}")
 
 
-class SingularTriangular(RcholqrError):
-    """Triangular solve with a zero on the diagonal."""
-
-
-class SymmetryError(RcholqrError):
-    """Input expected to be symmetric is not, beyond tolerance."""
-
-
 class RankDeficient(RcholqrError):
     """Smallest singular value is numerically zero."""
 

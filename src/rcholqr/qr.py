@@ -63,19 +63,21 @@ def _two_pass(x, a, stages: tuple[str, str]) -> QRResult:
 
 def cholesky_qr(x) -> QRResult:
     """Single-pass factorization; orthogonality degrades like kappa^2 u."""
+    x = dense.finite_matrix(x)
     r = _gram_factor(x, "first-cholesky")
     return QRResult(dense.trisolve_right(x, r), np.triu(r))
 
 
 def cholesky_qr2(x) -> QRResult:
     """Two chained passes: the first preconditions X with its own factor."""
+    x = dense.finite_matrix(x)
     return _two_pass(x, x, ("first-cholesky", "second-cholesky"))
 
 
 def _require_sketchable(x, out_rows: int) -> np.ndarray:
-    """The sketch has s >= n rows, checked before it is drawn; applying it
-    checks that X has the rows it expects."""
-    x = dense.as_matrix(x)
+    """X is finite and the sketch has s >= n rows, checked before it is
+    drawn; applying it checks that X has the rows it expects."""
+    x = dense.finite_matrix(x)
     if out_rows < x.shape[1]:
         raise DimensionError(f"need n <= s, got n={x.shape[1]}, s={out_rows}")
     return x
@@ -98,9 +100,11 @@ def factorize(params: SketchParams, x, seed: int) -> QRResult:
 
     The one map from an algorithm to its sketch and factorization.  It calls
     both through module attributes, so wrappers patched onto ``qr`` and
-    ``sketch`` (R capture, tracing) see every call.
+    ``sketch`` (R capture, tracing) see every call.  The factorization it
+    calls checks that ``x`` is finite.
     """
-    m, n = np.shape(x)
+    x = dense.as_matrix(x)
+    m, n = x.shape
     params.check(m, n)
     if params.mode == MR:
         return mr_cholesky_qr2(

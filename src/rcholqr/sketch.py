@@ -159,8 +159,8 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     Two workers, the caller and a helper thread started on every call and
     joined before it returns, take row blocks in turn; with one block, the
     helper may find none left.  Each draws its block under a lock, so the
-    stream is read in row order whoever takes a block, checks it is
-    finite, and reduces it against X into its own rows of the result.
+    stream is read in row order whoever takes a block, and reduces it
+    against X into its own rows of the result.
     The bits equal ``dense.matmul(densify(op), X)``.  An error in either
     worker stops both and is raised here.
     """
@@ -186,8 +186,6 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
                         return
                     next_row = i1 = min(s, i0 + rows)
                     block = _draw(rng, i1 - i0, op)
-                if not np.isfinite(block).all():
-                    raise ValueError("Gaussian operator contains non-finite entries")
                 out[i0:i1] = dense._reduce(block, bs)
                 del block  # before the next draw, so a worker holds one block
         except BaseException as exc:
@@ -281,7 +279,8 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
         lo = hi = float(eps)
     if not (0.0 <= lo <= 1.0 and hi >= 0.0):
         raise ParamError(f"need 0 <= eps_lo <= 1 and eps_hi >= 0, got ({lo}, {hi})")
-    x = sparse.as_dense(x)
+    x = (sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix)
+         else dense.finite_matrix(x))
     rng = _philox(seed)
     coeff = rng.standard_normal((x.shape[1], trials))
     vectors = dense.matmul(x, coeff)

@@ -123,16 +123,17 @@ def to_dense(s: CSRMatrix) -> np.ndarray:
 
 
 def as_dense(x) -> np.ndarray:
-    """A CSR matrix densified, anything else checked by ``dense.as_matrix``."""
+    """A CSR matrix densified, anything else converted by ``dense.as_matrix``."""
     if isinstance(x, CSRMatrix):
         return to_dense(x)
     return dense.as_matrix(x)
 
 
 def from_dense(d) -> CSRMatrix:
-    """Compress a dense matrix, dropping its zero entries."""
+    """Compress a dense matrix, dropping its zero entries; the CSR check
+    then rejects a NaN or inf."""
     d = dense.as_matrix(d)
-    keep = np.abs(d) > 0.0
+    keep = d != 0.0
     rows, cols = np.nonzero(keep)
     row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])

@@ -6,12 +6,7 @@ import pytest
 from rcholqr import dense
 from rcholqr.bench import ExperimentConfig, load_input
 from rcholqr.bounds import CHOLQR2, gamma
-from rcholqr.errors import (
-    CholeskyBreakdown,
-    DimensionError,
-    SingularTriangular,
-    SymmetryError,
-)
+from rcholqr.errors import CholeskyBreakdown, DimensionError
 from rcholqr.generators import GeneratorSpec
 
 from oracles import (
@@ -36,11 +31,6 @@ def test_matmul_hand_example():
 def test_matmul_dimension_mismatch():
     with pytest.raises(DimensionError):
         dense.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        dense.matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
 
 
 def _same_bits(x, y):
@@ -265,12 +255,6 @@ def test_trisolve_hand_example():
     assert np.array_equal(w, np.array([[1.0, 2.0]]))
 
 
-def test_trisolve_zero_diagonal():
-    with pytest.raises(SingularTriangular):
-        dense.trisolve_right(np.ones((3, 2)),
-                             np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-
 def test_trisolve_residual_bound():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((40, 6))
@@ -327,9 +311,6 @@ def test_sym_eigenvalues_constructed_spectrum():
         assert np.max(np.abs(got - lam)) <= 1e-10 * np.max(np.abs(lam))
 
 
-def test_sym_eigenvalues_rejects_nonsymmetric():
-    with pytest.raises(SymmetryError):
-        dense.sym_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
 
 
 def test_singular_values_identity():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rcholqr import dense, qr, sketch
-from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams
+from rcholqr.bench import SUCCESS, ExperimentConfig, run_experiment
+from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams, build_bound_report
 from rcholqr.errors import CholeskyBreakdown, DimensionError
 from rcholqr.generators import GeneratorSpec, make_dense, make_t1
 
@@ -205,3 +206,68 @@ def test_residual_metric():
 def test_residual_shape_check():
     with pytest.raises(DimensionError):
         qr.residual(np.eye(3), np.eye(3), np.eye(4))
+
+
+@pytest.mark.parametrize("params", [
+    SketchParams.none(), SketchParams(SR, s1=2), SketchParams(MR, s1=4, s2=2),
+], ids=["cholqr2", "sr", "mr"])
+@pytest.mark.parametrize("x", [np.ones(5), np.ones((4, 3, 2)), np.empty((0, 3))],
+                         ids=["1-D", "3-D", "empty"])
+def test_factorize_bad_shape_is_a_dimension_error(params, x):
+    with pytest.raises(DimensionError):
+        qr.factorize(params, x, 0)
+
+
+MODES = [SketchParams.none(), SketchParams(SR, s1=40),
+         SketchParams(MR, s1=100, s2=40)]
+SPEC = GeneratorSpec("t1", sigma=1e-4, block_count=10)  # 200 x 20
+
+# every public way in for a dense X, as (id, call on X)
+ENTRY_POINTS = [
+    ("cholesky_qr", qr.cholesky_qr),
+    ("cholesky_qr2", qr.cholesky_qr2),
+    ("sr", lambda x: qr.sr_cholesky_qr2(x, sketch.build_gaussian(40, 200, 1))),
+    ("mr", lambda x: qr.mr_cholesky_qr2(
+        x, sketch.build_multisketch(100, 40, 200, 1))),
+    ("build_bound_report", lambda x: build_bound_report(x, CHOLQR2, MODES[0])),
+    ("verify_embedding", lambda x: sketch.verify_embedding(
+        sketch.build_gaussian(40, 200, 1), x, 0.5, 4, 0)),
+] + [
+    (f"factorize-{p.mode}", lambda x, p=p: qr.factorize(p, x, 1)) for p in MODES
+] + [
+    (f"run_experiment-{p.mode}", lambda x, p=p: run_experiment(
+        ExperimentConfig(SPEC, p.mode, s1=p.s1, s2=p.s2, trials=1), x=x))
+    for p in MODES
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [c for _, c in ENTRY_POINTS],
+                         ids=[name for name, _ in ENTRY_POINTS])
+def test_entry_points_reject_non_finite_x(monkeypatch, call, bad):
+    x = t1_dense(1e-4, q=SPEC.block_count)
+    x[57, 3] = bad
+    draws = spy_draws(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        call(x)
+    assert draws == []  # the sketched ones fail before drawing a block
+
+
+@pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (SR, 100, 0),
+                                         (MR, 400, 100)])
+def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2):
+    x = t1_dense(1e-4, q=100)  # 2000 x 20
+    scans = []
+    real = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        if np.size(a) >= x.size:
+            scans.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    spec = GeneratorSpec("t1", sigma=1e-4, block_count=100)
+    records, _ = run_experiment(
+        ExperimentConfig(spec, alg, s1=s1, s2=s2, trials=1), x=x)
+    assert records[0].outcome == SUCCESS  # every stage and metric ran
+    assert scans == [x.shape]

@@ -88,6 +88,12 @@ def test_from_dense_exact_nnz():
     assert sparse.from_dense(d).nnz == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_dense_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse.from_dense(np.array([[0.0, bad], [2.0, -0.0]]))
+
+
 def test_round_trip_arrowhead_block():
     x = make_t1(GeneratorSpec("t1", sigma=0.5, block_count=3))
     assert sparse.from_dense(sparse.to_dense(x)) == x
