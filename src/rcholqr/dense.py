@@ -18,6 +18,18 @@ block count is the innermost axis.  It works in chunks that fit in cache;
 the left operand is copied chunk by chunk, the right operand once.  No
 layout or chunk size changes a bit of the result.
 
+Where the blocks are innermost and the left operand has more than one
+row, a right-operand column with at most 16 nonzeros in each block is
+packed: step k of every block gathers the left operand at the block's
+k-th nonzero row and adds that one product, so the zeros are never
+multiplied.  The block partials and their merge are the
+step-major ones.  A skipped product is a finite number times +-0, which is
++-0, and adding +-0 to a nonzero partial returns that partial exactly; so
+every nonzero sum has the step-major bits, with underflow, overflow and
+cancellation alike.  Only a zero sum can differ, in its sign, and a
+non-finite left entry would have made the step-major sum NaN; those sums
+are recomputed step-major.
+
 ``gram`` runs the same steps on column pairs instead of rows times
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
 each unordered pair is formed once (the d = n/2 pairs twice when n is
@@ -32,6 +44,7 @@ max(i, j)).
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +55,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 _BLOCK = 32
 _CHUNK = 1 << 16  # entries of one vectorized step (512 KiB)
 _ACC = 1 << 20  # entries of the block partials of one row chunk (8 MiB)
+_COPY = 1 << 19  # entries of the step-major copy of one left chunk (4 MiB)
 _TILE = 256  # blocks per transposing copy
+_PACKED = 16  # most nonzeros per block of a packed column
 _SOLVE_ROWS = 4096  # rows of X per triangular-solve chunk
 _BUFSIZE = 256  # ufunc buffer entries inside the kernels (numpy default 8192)
 
@@ -120,40 +135,90 @@ def _step_major(m: np.ndarray, t0: int, t1: int, out: np.ndarray) -> None:
         out[:tail, :, nfull - t0] = m[:, nfull * _BLOCK:].T
 
 
-def _reduce_operand(b: np.ndarray) -> np.ndarray:
-    """Right operand of :func:`_reduce` in step-major order.
+class _Operand(NamedTuple):
+    """Right operand b of :func:`_reduce`, made once per product however
+    many calls share it.
 
-    bs[s, j, t] = b[32 t + s, j]; made once per product, however many
-    calls of :func:`_reduce` share it.
+    Column ``full[c]`` of b is step-major: bs[s, c, t] = b[32 t + s, full[c]].
+    Column ``packed[c]`` keeps only its nonzeros: at[k, c nb + t] is the row
+    of its k-th nonzero in block t, in row order, and val[k, c nb + t] the
+    value there; a block with fewer nonzeros than at has steps is padded
+    with value 0 at the block's first row.  With no packed column, at and
+    val are None.
     """
+
+    b: np.ndarray
+    full: np.ndarray
+    bs: np.ndarray
+    packed: np.ndarray
+    at: np.ndarray | None
+    val: np.ndarray | None
+
+
+def _steps(b: np.ndarray) -> np.ndarray:
+    """bs[s, j, t] = b[32 t + s, j]."""
     k, q = b.shape
-    nb = -(-k // _BLOCK)
-    bs = np.empty((_BLOCK, q, nb))
-    _step_major(b.T, 0, nb, bs)
+    bs = np.empty((_BLOCK, q, -(-k // _BLOCK)))
+    _step_major(b.T, 0, bs.shape[2], bs)
     return bs
 
 
-@_small_buffers
-def _reduce(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme, for
-    ``bs = _reduce_operand(b)``.
+def _reduce_operand(b: np.ndarray, rows: int) -> _Operand:
+    """Right operand of :func:`_reduce` for left operands of ``rows`` rows.
+
+    A column is packed when its blocks hold at most ``_PACKED`` nonzeros
+    each and some block holds one, and only where the blocks are innermost
+    (at least as many blocks as ``rows``) and ``rows`` > 1: for one row a
+    packed step costs what a step-major one does, so packing would only
+    add its own cost.  Every other column is step-major.
+    """
+    k, q = b.shape
+    nb = -(-k // _BLOCK)
+    packed = np.zeros(0, dtype=np.intp)
+    if 1 < rows <= nb and q:
+        nz = np.ascontiguousarray((b != 0).T)
+        count = np.add.reduceat(nz, np.arange(0, k, _BLOCK), axis=1, dtype=np.intp)
+        most = count.max(axis=1)
+        packed = np.flatnonzero((most > 0) & (most <= _PACKED))
+    if packed.size == 0:
+        return _Operand(b, np.arange(q), _steps(b), packed, None, None)
+    count = count[packed].ravel()
+    col, row = np.divmod(np.flatnonzero(nz[packed]), k)
+    slot = col * nb + row // _BLOCK  # (column, block), ascending
+    kth = np.arange(slot.size) - (np.cumsum(count) - count)[slot]
+    at = np.empty((int(most[packed].max()), packed.size, nb), dtype=np.intp)
+    at[:] = np.arange(0, k, _BLOCK)
+    at = at.reshape(at.shape[0], -1)
+    val = np.zeros(at.shape)
+    at[kth, slot] = row
+    val[kth, slot] = b[row, packed[col]]
+    full = np.setdiff1d(np.arange(q), packed)
+    return _Operand(b, full, _steps(b[:, full]), packed, at, val)
+
+
+def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """sum_l a[:, l] b[l, :] for ``bs = _steps(b)``: the step-major kernel.
 
     For s = 0..31 in order, step s of every block is one multiply and one
     add over all blocks of a chunk, so each block partial is its own left
     to right sum; :func:`_carry_tree` then merges the partials.  The
     accumulators are indexed (row, column, block).  In memory the blocks
     are innermost when there are at least as many blocks as output rows,
-    and the rows are innermost otherwise.  Each output row depends only on
-    its own row of ``a``, so any split of ``a`` into row blocks gives the
-    same bits.  An empty summation axis gives +0.0 sums.
+    and the rows are innermost otherwise.
     """
     p, k = a.shape
     _, q, nb = bs.shape
-    if k == 0 or p == 0 or q == 0:
-        return np.zeros((p, q))
+    if q == 0:
+        return np.zeros((p, 0))
     tail = k - _BLOCK * (nb - 1)  # steps in the last block
     if nb >= p:
         rows = max(1, _CHUNK // (q * nb))
+        if p > 1:
+            # Bound the copy of a chunk of rows.  One row copies only itself
+            # and keeps its larger buffer: freeing that raises glibc's
+            # mmap threshold, which spares later m x n temporaries their
+            # page faults (about 3900 per cholqr2 trial at 20000 x 20).
+            rows = min(p, rows, _COPY // (_BLOCK * nb))
         cb = nb
         abuf = np.empty((_BLOCK, rows, cb))
         acc = np.empty((rows, q, nb))
@@ -183,6 +248,59 @@ def _reduce(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reduce_packed(a: np.ndarray, at: np.ndarray, val: np.ndarray, nb: int) -> np.ndarray:
+    """The packed kernel: step k gathers ``a`` at the rows ``at[k]`` and
+    adds the products with ``val[k]`` to the block partials, indexed
+    (row, column block), which :func:`_carry_tree` merges in place."""
+    p = a.shape[0]
+    depth, width = at.shape
+    rows = max(1, min(p, _CHUNK // width))
+    acc = np.empty((rows, width))
+    tmp = np.empty((rows, width))
+    out = np.empty((p, width // nb))
+    for i0 in range(0, p, rows):
+        r = min(p, i0 + rows) - i0
+        ai, ac, tm = a[i0:i0 + r], acc[:r], tmp[:r]
+        np.take(ai, at[0], axis=1, out=ac, mode="clip")
+        np.multiply(ac, val[0], out=ac)
+        for k in range(1, depth):
+            np.take(ai, at[k], axis=1, out=tm, mode="clip")
+            np.multiply(tm, val[k], out=tm)
+            np.add(ac, tm, out=ac)
+        out[i0:i0 + r] = _carry_tree(ac.reshape(r, -1, nb))
+    return out
+
+
+@_small_buffers
+def _reduce(a: np.ndarray, op: _Operand) -> np.ndarray:
+    """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme, for
+    ``op = _reduce_operand(b, rows)``: step-major columns by
+    :func:`_reduce_steps`, packed ones by :func:`_reduce_packed`.
+
+    A packed sum that is zero, or whose row of ``a`` is not finite, is
+    recomputed step-major (see the module doc).  Each output row depends
+    only on its own row of ``a``, so any split of ``a`` into row blocks
+    gives the same bits.  An empty summation axis gives +0.0 sums.
+    """
+    p, k = a.shape
+    b = op.b
+    q = b.shape[1]
+    if k == 0 or p == 0 or q == 0:
+        return np.zeros((p, q))
+    if op.at is None:
+        return _reduce_steps(a, op.bs)
+    out = np.empty((p, q))
+    out[:, op.full] = _reduce_steps(a, op.bs)
+    part = _reduce_packed(a, op.at, op.val, op.bs.shape[2])
+    redo = (part == 0) | ~np.isfinite(a).all(axis=1)[:, None]
+    if redo.any():
+        i = np.flatnonzero(redo.any(axis=1))
+        j = np.flatnonzero(redo.any(axis=0))
+        part[np.ix_(i, j)] = _reduce_steps(a[i], _steps(b[:, op.packed[j]]))
+    out[:, op.packed] = part
+    return out
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product A B; every entry is a fixed-scheme sum (see module doc).
 
@@ -194,7 +312,7 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(
             f"inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    return _reduce(a, _reduce_operand(b))
+    return _reduce(a, _reduce_operand(b, a.shape[0]))
 
 
 @_small_buffers
@@ -294,7 +412,7 @@ def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=np.float64)
     ones = np.broadcast_to(1.0, (1, m.shape[0]))
-    return _reduce(ones, _reduce_operand(m))[0]
+    return _reduce(ones, _reduce_operand(m, 1))[0]
 
 
 def cholesky(g) -> np.ndarray:

@@ -13,6 +13,16 @@ output row is reduced from its own row of the operator alone, so the
 result bits depend neither on the block size nor on which of its two
 workers, the caller and a thread started on every call, reduces a block;
 :func:`densify` draws the whole operator at once, as the reference.
+
+The reduction multiplies only X's nonzeros where X is sparse: a column of
+X with at most 16 nonzeros in each 32-row block is packed (see ``dense``),
+as are 19 of the 20 columns of a t1 input and all 20 of a t2 input.  A
+skipped product is a finite normal times +-0, and adding +-0 to a nonzero
+partial sum leaves it exactly as it was, so the result keeps the bits of
+the step-major product; a sum that comes out +-0 is recomputed step-major
+for its sign.  The draw is then the floor: the stream is read serially,
+about 20 ms per 50 x 20000 block on a 2-vCPU Xeon, against 10-15 ms to
+reduce a packed t1 or t2 block.
 """
 
 from __future__ import annotations
@@ -85,10 +95,9 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def _draw(rng: np.random.Generator, rows: int, op: GaussianSketchOp) -> np.ndarray:
-    """The next ``rows`` rows of ``op`` from its stream ``rng``."""
-    block = rng.standard_normal((rows, op.in_rows))
-    block /= sqrt(op.out_rows)
-    return block
+    """The next ``rows`` rows of ``op``'s stream ``rng``, not yet scaled:
+    the one place the stream is read."""
+    return rng.standard_normal((rows, op.in_rows))
 
 
 def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
@@ -158,23 +167,29 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
 
     Two workers, the caller and a helper thread started on every call and
     joined before it returns, take row blocks in turn; with one block, the
-    helper may find none left.  Each draws its block under a lock, so the
-    stream is read in row order whoever takes a block, and reduces it
-    against X into its own rows of the result.
+    helper may find none left.  Each reads its block from the stream under
+    a lock, so the stream is read in row order whoever takes a block,
+    scales it outside the lock, and reduces it against X into its own rows
+    of the result.  The helper starts drawing before the caller has made
+    the reduction's operand, which it waits for.
     The bits equal ``dense.matmul(densify(op), X)``.  An error in either
     worker stops both and is raised here.
     """
-    x = sparse.as_dense(x)
-    if x.shape[0] != op.in_rows:
-        raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
+    if isinstance(x, sparse.CSRMatrix):
+        rows_in = x.rows  # checked before X is densified
+    else:
+        x = dense.as_matrix(x)
+        rows_in = x.shape[0]
+    if rows_in != op.in_rows:
+        raise DimensionError(f"operator expects {op.in_rows} rows, got {rows_in}")
     s = op.out_rows
     rows = _block_rows(s, op.in_rows)
-    bs = dense._reduce_operand(x)
-    out = np.empty((s, x.shape[1]))
+    scale = sqrt(s)
     rng = _philox(op.seed)
     lock = threading.Lock()
+    ready = threading.Event()
     next_row, stop = 0, False
-    errors = []
+    errors, operand = [], []
 
     def work():
         nonlocal next_row, stop
@@ -186,7 +201,11 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
                         return
                     next_row = i1 = min(s, i0 + rows)
                     block = _draw(rng, i1 - i0, op)
-                out[i0:i1] = dense._reduce(block, bs)
+                block /= scale
+                ready.wait()
+                if stop:
+                    return
+                out[i0:i1] = dense._reduce(block, operand[0])
                 del block  # before the next draw, so a worker holds one block
         except BaseException as exc:
             stop = True
@@ -194,6 +213,14 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
 
     helper = threading.Thread(target=work, name="rcholqr-sketch")
     helper.start()
+    try:
+        x = sparse.as_dense(x)
+        out = np.empty((s, x.shape[1]))
+        operand.append(dense._reduce_operand(x, rows))
+    except BaseException as exc:
+        stop = True
+        errors.append(exc)
+    ready.set()
     work()
     helper.join()
     if errors:
@@ -212,7 +239,7 @@ def densify(op) -> np.ndarray:
         out[op.row_of, np.arange(op.in_rows)] = op.sign_of
         return out
     if isinstance(op, GaussianSketchOp):
-        return _draw(_philox(op.seed), op.out_rows, op)
+        return _draw(_philox(op.seed), op.out_rows, op) / sqrt(op.out_rows)
     if isinstance(op, MultiSketchOp):
         return dense.matmul(densify(op.gauss), densify(op.count))
     raise TypeError(f"not a sketch operator: {type(op)!r}")

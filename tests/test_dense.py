@@ -366,3 +366,88 @@ def test_fixed_sum_rows_matches_columns():
     got = dense.fixed_sum_rows(m)
     for jcol in range(5):
         assert got[jcol] == dense.fixed_sum(m[:, jcol])
+
+
+def _packed_cases():
+    """(name, a, b, packed columns) for products with at least as many
+    blocks as rows, so the packed layout is in play."""
+    rng = np.random.default_rng(40)
+    p, k = 6, 417  # 14 blocks, the last one ragged (1 row)
+    a = rng.standard_normal((p, k))
+    cases = []
+    b = np.zeros((k, 4))
+    b[::29, 1] = rng.standard_normal(len(range(0, k, 29)))
+    b[:, 2] = -0.0
+    b[:, 3] = rng.standard_normal(k)
+    cases.append(("all-zero, -0.0 and dense columns", a, b, [1]))
+    b = np.zeros((k, 2))
+    b[[3, 40, 300], 0] = 5e-324  # every product underflows to +-0
+    b[[7, 416], 1] = [1e-310, 2.0]
+    cases.append(("underflow to +-0", a, b, [0, 1]))
+    c = a.copy()
+    c[:, 70] = -c[:, 5]
+    b = np.zeros((k, 1))
+    b[[5, 70], 0] = 1.5
+    cases.append(("exact cancellation", c, b, [0]))
+    b = np.zeros((k, 3))
+    b[32:48, 0] = rng.standard_normal(16)
+    b[32:49, 1] = rng.standard_normal(17)
+    b[416, 2] = 3.0  # the ragged block's only row
+    cases.append(("16 and 17 nonzeros in a block", a, b, [0, 2]))
+    b = np.zeros((20, 2))
+    b[4, 0] = 1.0
+    cases.append(("m < 32", a[:, :20], b, []))
+    b = (rng.random((k, 3)) < 0.1) * rng.standard_normal((k, 3))
+    cases.append(("random sparse", a, b, [0, 1, 2]))
+    return cases
+
+
+@pytest.mark.parametrize("name, a, b, packed", _packed_cases(),
+                         ids=[c[0] for c in _packed_cases()])
+def test_packed_columns_keep_the_step_major_bits(name, a, b, packed):
+    op = dense._reduce_operand(b, a.shape[0])
+    assert op.packed.tolist() == packed
+    got = dense.matmul(a, b)
+    assert _same_bits(got, matmul_reference(a, b))
+    assert _same_bits(got, dense._reduce_steps(a, dense._steps(b)))
+
+
+def test_packed_zero_sum_is_recomputed_for_its_sign():
+    # Two blocks.  Packed, row 0 adds -0.0 * 1 in block 0 and pads block 1
+    # with (-1) * 0 = -0.0, so its sum is -0.0; step-major, block 0 also
+    # adds 1 * 0 = +0.0, so the sum is +0.0.
+    a = np.ones((2, 64))
+    a[:, 32:] = -1.0
+    a[0, 5] = -0.0
+    b = np.zeros((64, 1))
+    b[5, 0] = 1.0
+    op = dense._reduce_operand(b, 2)
+    assert op.packed.tolist() == [0]
+    assert np.signbit(dense._reduce_packed(a, op.at, op.val, 2)[0, 0])
+    got = dense.matmul(a, b)
+    assert _same_bits(got, matmul_reference(a, b))
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_packed_product_with_non_finite_left_entry(bad):
+    # step-major, bad * 0 is NaN; packed, the zero would be skipped
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((3, 200))
+    a[1, 50] = bad
+    b = np.zeros((200, 2))
+    b[[10, 190], 0] = 2.0
+    b[50, 1] = 1.0
+    assert dense._reduce_operand(b, 3).packed.tolist() == [0, 1]
+    got = dense.matmul(a, b)
+    assert _same_bits(got, matmul_reference(a, b))
+    assert np.isnan(got[1, 0]) and np.isfinite(got[[0, 2]]).all()
+
+
+def test_single_row_products_stay_step_major():
+    b = np.zeros((417, 2))
+    b[::50, 0] = 1.0
+    assert dense._reduce_operand(b, 1).at is None
+    assert dense._reduce_operand(b, 2).packed.tolist() == [0]
+    assert dense._reduce_operand(b, 15).at is None  # more rows than blocks

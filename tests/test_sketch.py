@@ -9,8 +9,11 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from rcholqr import dense, norms, sketch, sparse
+from rcholqr import dense, generators, norms, sketch, sparse
 from rcholqr.errors import DimensionError, ParamError
+from rcholqr.generators import GeneratorSpec
+
+from oracles import matmul_reference
 
 
 def test_countsketch_determinism():
@@ -127,6 +130,11 @@ def _same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _family(kind):
+    """The 20000 x 20 input of a generator family, dense."""
+    return sparse.as_dense(generators.generate(GeneratorSpec(kind, sigma=1e-4)))
+
+
 @pytest.mark.parametrize("s, m", [(6, 40), (500, 2800), (60, 20000)])
 def test_gaussian_entries_are_the_one_shot_draw(s, m):
     op = sketch.build_gaussian(s, m, seed=21)
@@ -236,11 +244,9 @@ def test_apply_gaussian_single_block_starts_and_joins_its_helper(monkeypatch):
     assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
 
 
-def test_apply_gaussian_from_concurrent_callers():
-    # more callers than cores, switching often: each call's two workers
-    # must still share only their own call's stream and rows
-    x = np.random.default_rng(28).standard_normal((2800, 3))
-    ops = [sketch.build_gaussian(500, 2800, seed=seed) for seed in (29, 30, 31, 32)]
+def _apply_concurrently(x, ops):
+    """Apply every operator from its own caller thread, switching often;
+    each result must have the bits of its own product."""
     got = [None] * len(ops)
 
     def call(i):
@@ -259,6 +265,20 @@ def test_apply_gaussian_from_concurrent_callers():
     assert not any(t.is_alive() for t in callers)
     for op, y in zip(ops, got):
         assert _same_bits(y, dense.matmul(sketch.densify(op), x))
+
+
+def test_apply_gaussian_from_concurrent_callers():
+    # more callers than cores, switching often: each call's two workers
+    # must still share only their own call's stream and rows
+    x = np.random.default_rng(28).standard_normal((2800, 3))
+    _apply_concurrently(x, [sketch.build_gaussian(500, 2800, seed=seed)
+                            for seed in (29, 30, 31, 32)])
+
+
+def test_apply_gaussian_from_concurrent_callers_on_t1():
+    # the same with 19 of X's 20 columns packed
+    _apply_concurrently(_family("t1"), [sketch.build_gaussian(100, 20000, seed=seed)
+                                        for seed in (29, 30, 31, 32)])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -285,16 +305,121 @@ def test_apply_gaussian_in_a_forked_child():
 
 
 def test_gaussian_memory_is_bounded():
-    # the parent's stored operator alone was 80 MB (500 x 20000 float64)
-    x = np.random.default_rng(26).standard_normal((20000, 20))
-    tracemalloc.start()
-    try:
-        op = sketch.build_gaussian(500, 20000, seed=27)
-        sketch.apply_gaussian(op, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    # a stored 500 x 20000 operator alone would be 80 MB; on t1 the
+    # reduction also builds the packed operand of 19 sparse columns
+    for x in (np.random.default_rng(26).standard_normal((20000, 20)), _family("t1")):
+        tracemalloc.start()
+        try:
+            op = sketch.build_gaussian(500, 20000, seed=27)
+            sketch.apply_gaussian(op, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+def _check_sketch(x, s, seed):
+    """apply_gaussian has the bits of the product with the drawn operator,
+    by the package's matmul and by the scalar replay."""
+    m = x.rows if isinstance(x, sparse.CSRMatrix) else x.shape[0]
+    op = sketch.build_gaussian(s, m, seed)
+    got = sketch.apply_gaussian(op, x)
+    omega, xd = sketch.densify(op), sparse.as_dense(x)
+    assert _same_bits(got, dense.matmul(omega, xd))
+    assert _same_bits(got, matmul_reference(omega, xd))
+    return got
+
+
+def _zero_pattern_x(omega):
+    """417 x 8: an all-zero column, a -0.0 column, products that underflow
+    to +-0, a sum that cancels exactly in row 0, 16 and 17 nonzeros in one
+    block, a random sparse column and a dense one."""
+    rng = np.random.default_rng(42)
+    k = omega.shape[1]
+    x = np.zeros((k, 8))
+    x[:, 1] = -0.0
+    x[[3, 40, 300], 2] = 5e-324
+    x[[5, 70], 3] = [omega[0, 70], -omega[0, 5]]
+    x[32:48, 4] = rng.standard_normal(16)
+    x[32:49, 5] = rng.standard_normal(17)
+    x[::23, 6] = rng.standard_normal(len(range(0, k, 23)))
+    x[:, 7] = rng.standard_normal(k)
+    return x
+
+
+def test_apply_gaussian_skips_zeros_with_the_same_bits():
+    s, m = 10, 417  # one 10-row block, 14 summation blocks, the last ragged
+    x = _zero_pattern_x(sketch.densify(sketch.build_gaussian(s, m, 43)))
+    assert dense._reduce_operand(x, sketch._block_rows(s, m)).packed.tolist() == [2, 3, 4, 6]
+    got = _check_sketch(x, s, 43)
+    assert got[0, 3] == 0.0 and np.all(got[1:, 3] != 0.0)
+    _check_sketch(sparse.from_dense(x), s, 43)
+
+
+def test_apply_gaussian_fewer_rows_than_a_block():
+    x = np.zeros((20, 3))
+    x[4, 0] = 1.0
+    x[:, 1] = -0.0
+    x[:, 2] = np.arange(20.0)
+    _check_sketch(x, 5, 44)
+
+
+@pytest.mark.parametrize("kind, full, steps", [("t1", [0], 4), ("t2", [], 6),
+                                               ("dense", list(range(20)), None)])
+def test_packed_layout_of_the_families(kind, full, steps):
+    # t1: one dense column and 19 packed; t2: all 20 packed; dense: none
+    op = dense._reduce_operand(_family(kind), sketch._block_rows(500, 20000))
+    assert op.full.tolist() == full
+    assert op.packed.size == 20 - len(full)
+    assert (op.at is None) if steps is None else op.at.shape[0] == steps
+
+
+@pytest.mark.parametrize("kind", ["t1", "t2", "dense"])
+def test_apply_gaussian_on_the_families(kind):
+    x = _family(kind)
+    op = sketch.build_gaussian(100, 20000, seed=45)  # two 50-row blocks
+    got = sketch.apply_gaussian(op, x)
+    omega = sketch.densify(op)
+    assert _same_bits(got, dense.matmul(omega, x))
+    assert _same_bits(got, dense._reduce_steps(omega, dense._steps(x)))
+    assert _same_bits(got[[0, 99]], matmul_reference(omega[[0, 99]], x))
+
+
+def test_apply_gaussian_checks_csr_rows_before_densifying(monkeypatch):
+    densified = []
+    real = sparse.to_dense
+
+    def spy(s):
+        densified.append(s.rows)
+        return real(s)
+
+    monkeypatch.setattr(sparse, "to_dense", spy)
+    x = sparse.from_dense(np.eye(30, 4))
+    with pytest.raises(DimensionError):
+        sketch.apply_gaussian(sketch.build_gaussian(4, 31, seed=0), x)
+    assert densified == []
+
+
+def test_helper_draws_while_the_operand_is_made(monkeypatch):
+    drawing = threading.Event()
+    seen = []
+    draw, operand = sketch._draw, dense._reduce_operand
+
+    def spy_draw(rng, rows, op):
+        drawing.set()
+        return draw(rng, rows, op)
+
+    def spy_operand(b, rows):
+        seen.append(drawing.wait(timeout=10))
+        return operand(b, rows)
+
+    monkeypatch.setattr(sketch, "_draw", spy_draw)
+    monkeypatch.setattr(dense, "_reduce_operand", spy_operand)
+    x = np.random.default_rng(46).standard_normal((2800, 3))
+    op = sketch.build_gaussian(500, 2800, seed=47)
+    got = sketch.apply_gaussian(op, x)
+    assert seen == [True]
+    assert _same_bits(got, dense.matmul(sketch.densify(op), x))
 
 
 def test_multisketch_build_and_apply():
