@@ -11,24 +11,26 @@ therefore bit-reproducible across runs, thread counts, and BLAS builds,
 while rounding error grows like the block size plus the tree depth instead
 of linearly in the reduced dimension.
 
-The kernel, :func:`_reduce`, takes step s of every block at once, as one
-vectorized multiply and add over the blocks.  Its memory layout is chosen
-from the operand shapes alone: the longer of the output-row count and the
-block count is the innermost axis.  It works in chunks that fit in cache;
-the left operand is copied chunk by chunk, the right operand once.  No
-layout or chunk size changes a bit of the result.
+One loop, :func:`_block_sums`, forms the block partials of every product
+and of ``gram``: step s of every block at once, as one vectorized
+multiply and add over the blocks.  The step-major kernel,
+:func:`_reduce_steps`, chooses its memory layout from the operand shapes
+alone: the longer of the output-row count and the block count is the
+innermost axis.  It works in chunks that fit in cache; the left operand
+is copied chunk by chunk, the right operand once.  No layout or chunk
+size changes a bit of the result.
 
-Where the blocks are innermost and the left operand has more than one
-row, a right-operand column with at most 16 nonzeros in each block is
-packed: step k of every block gathers the left operand at the block's
-k-th nonzero row and adds that one product, so the zeros are never
-multiplied.  The block partials and their merge are the
-step-major ones.  A skipped product is a finite number times +-0, which is
-+-0, and adding +-0 to a nonzero partial returns that partial exactly; so
-every nonzero sum has the step-major bits, with underflow, overflow and
-cancellation alike.  Only a zero sum can differ, in its sign, and a
-non-finite left entry would have made the step-major sum NaN; those sums
-are recomputed step-major.
+Only the Gaussian sketch's apply, whose left operand is a block of drawn
+normals, packs its right operand (:func:`_reduce`).  Where the blocks
+are innermost and the left block has more than one row, a right-operand
+column with at most 16 nonzeros in each block is packed: step k of every
+block gathers the left operand at the block's k-th nonzero row and adds
+that one product, so the zeros are never multiplied.  The block partials
+and their merge are the step-major ones.  A skipped product is a finite
+normal times +-0, which is +-0, and adding +-0 to a nonzero partial
+returns that partial exactly; so every nonzero sum has the step-major
+bits, with underflow, overflow and cancellation alike.  Only a zero sum
+can differ, in its sign, and those sums are recomputed step-major.
 
 ``gram`` runs the same steps on column pairs instead of rows times
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
@@ -175,7 +177,7 @@ def _reduce_operand(b: np.ndarray, rows: int) -> _Operand:
     k, q = b.shape
     nb = -(-k // _BLOCK)
     packed = np.zeros(0, dtype=np.intp)
-    if 1 < rows <= nb and q:
+    if 1 < rows <= nb:
         nz = np.ascontiguousarray((b != 0).T)
         count = np.add.reduceat(nz, np.arange(0, k, _BLOCK), axis=1, dtype=np.intp)
         most = count.max(axis=1)
@@ -196,21 +198,37 @@ def _reduce_operand(b: np.ndarray, rows: int) -> _Operand:
     return _Operand(b, full, _steps(b[:, full]), packed, at, val)
 
 
+def _block_sums(left, right, acc, tmp, last: int) -> None:
+    """acc[..., t] = sum_s left[s, ..., t] right[s, ..., t], s = 0..31 in
+    order: the one step loop.  Step s of every block is one multiply and
+    one add, so each block partial is its own left-to-right sum.  ``last``
+    counts the summation entries from the first row of the last block on;
+    below 32, that block is the ragged end and stops at its last row.
+    ``tmp`` is scratch at least as long as ``acc``, to whose shape
+    ``left[s]`` and ``right[s]`` broadcast."""
+    tmp = tmp[..., :acc.shape[-1]]
+    np.multiply(left[0], right[0], out=acc)
+    for s in range(1, _BLOCK):
+        if s == last:  # the ragged last block has ended
+            left, right, acc, tmp = (v[..., :-1] for v in (left, right, acc, tmp))
+        np.multiply(left[s], right[s], out=tmp)
+        np.add(acc, tmp, out=acc)
+
+
+@_small_buffers
 def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """sum_l a[:, l] b[l, :] for ``bs = _steps(b)``: the step-major kernel.
 
-    For s = 0..31 in order, step s of every block is one multiply and one
-    add over all blocks of a chunk, so each block partial is its own left
-    to right sum; :func:`_carry_tree` then merges the partials.  The
-    accumulators are indexed (row, column, block).  In memory the blocks
-    are innermost when there are at least as many blocks as output rows,
-    and the rows are innermost otherwise.
+    :func:`_block_sums` forms the block partials of a chunk of rows, and
+    :func:`_carry_tree` merges them.  The accumulators are indexed (row,
+    column, block).  In memory the blocks are innermost when there are at
+    least as many blocks as output rows, and the rows are innermost
+    otherwise.
     """
     p, k = a.shape
     _, q, nb = bs.shape
     if q == 0:
         return np.zeros((p, 0))
-    tail = k - _BLOCK * (nb - 1)  # steps in the last block
     if nb >= p:
         rows = max(1, _CHUNK // (q * nb))
         if p > 1:
@@ -236,14 +254,8 @@ def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
             t1 = min(nb, t0 + cb)
             ab = abuf[:, :r, :t1 - t0]
             _step_major(a[i0:i0 + r], t0, t1, ab)
-            ac = acc[:r, :, t0:t1]
-            np.multiply(ab[0][:, None, :], bs[0, None, :, t0:t1], out=ac)
-            for s in range(1, _BLOCK):
-                # the ragged last block stops after ``tail`` steps
-                n = t1 - t0 - (t1 == nb and s >= tail)
-                tm = tmp[:r, :, :n]
-                np.multiply(ab[s][:, None, :n], bs[s, None, :, t0:t0 + n], out=tm)
-                np.add(ac[:, :, :n], tm, out=ac[:, :, :n])
+            _block_sums(ab[:, :, None], bs[:, None, :, t0:t1], acc[:r, :, t0:t1],
+                        tmp[:r], k - _BLOCK * (t1 - 1))
         out[i0:i0 + r] = _carry_tree(acc[:r])
     return out
 
@@ -274,29 +286,24 @@ def _reduce_packed(a: np.ndarray, at: np.ndarray, val: np.ndarray, nb: int) -> n
 @_small_buffers
 def _reduce(a: np.ndarray, op: _Operand) -> np.ndarray:
     """sum_l a[:, l] b[l, :] under the fixed blocked-pairwise scheme, for
-    ``op = _reduce_operand(b, rows)``: step-major columns by
-    :func:`_reduce_steps`, packed ones by :func:`_reduce_packed`.
+    a block ``a`` of drawn normals and ``op = _reduce_operand(b, rows)``:
+    step-major columns by :func:`_reduce_steps`, packed ones by
+    :func:`_reduce_packed`.  The Gaussian apply is its one caller.
 
-    A packed sum that is zero, or whose row of ``a`` is not finite, is
-    recomputed step-major (see the module doc).  Each output row depends
-    only on its own row of ``a``, so any split of ``a`` into row blocks
-    gives the same bits.  An empty summation axis gives +0.0 sums.
+    A packed sum that is zero is recomputed step-major, for its sign (see
+    the module doc).  Each output row depends only on its own row of
+    ``a``, so any split of ``a`` into row blocks gives the same bits.
     """
-    p, k = a.shape
-    b = op.b
-    q = b.shape[1]
-    if k == 0 or p == 0 or q == 0:
-        return np.zeros((p, q))
     if op.at is None:
         return _reduce_steps(a, op.bs)
-    out = np.empty((p, q))
+    out = np.empty((a.shape[0], op.b.shape[1]))
     out[:, op.full] = _reduce_steps(a, op.bs)
     part = _reduce_packed(a, op.at, op.val, op.bs.shape[2])
-    redo = (part == 0) | ~np.isfinite(a).all(axis=1)[:, None]
+    redo = part == 0
     if redo.any():
         i = np.flatnonzero(redo.any(axis=1))
         j = np.flatnonzero(redo.any(axis=0))
-        part[np.ix_(i, j)] = _reduce_steps(a[i], _steps(b[:, op.packed[j]]))
+        part[np.ix_(i, j)] = _reduce_steps(a[i], _steps(op.b[:, op.packed[j]]))
     out[:, op.packed] = part
     return out
 
@@ -312,7 +319,7 @@ def matmul(a, b) -> np.ndarray:
         raise DimensionError(
             f"inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    return _reduce(a, _reduce_operand(b, a.shape[0]))
+    return _reduce_steps(a, _steps(b))
 
 
 @_small_buffers
@@ -323,15 +330,15 @@ def gram(x) -> np.ndarray:
     module doc): (n//2 + 1) n products per row of X instead of n^2.  A
     chunk of X is copied step-major once, with its first n//2 columns
     repeated after the last, so the operand shifted by d is one strided
-    view of the copy.  Step s of every block is one multiply and one add
-    over acc[d, i, block], as in :func:`_reduce`.  The blocks are worked
-    on in groups of 2^L, the partials of a group at most ``_ACC`` entries
-    (or one block).  A group is a whole subtree of the carry tree, so
-    :func:`_carry_tree` merges each group to one partial, and the group
-    partials are merged as a binary counter merges them, which is the
-    same tree.  The blocks are innermost in memory when a chunk has at
-    least as many blocks as X has columns, the columns otherwise.  Each
-    value is written to (min(i, j), max(i, j)) and its mirror.
+    view of the copy.  :func:`_block_sums` forms the partials
+    acc[d, i, block].  The blocks are worked on in groups of 2^L, the
+    partials of a group at most ``_ACC`` entries (or one block).  A group
+    is a whole subtree of the carry tree, so :func:`_carry_tree` merges
+    each group to one partial, and the group partials are merged as a
+    binary counter merges them, which is the same tree.  The blocks are
+    innermost in memory when a chunk has at least as many blocks as X has
+    columns, the columns otherwise.  Each value is written to (min(i, j),
+    max(i, j)) and its mirror.
     """
     x = as_matrix(x)
     k, n = x.shape
@@ -340,7 +347,6 @@ def gram(x) -> np.ndarray:
     half = n // 2
     pairs = (half + 1) * n
     nb = -(-k // _BLOCK)
-    tail = k - _BLOCK * (nb - 1)  # steps in the last block
     # groups of a power of two of blocks, the partials of each at most
     # _ACC entries (or one block), cut into equal chunks whose steps are
     # at most _CHUNK products each
@@ -367,14 +373,8 @@ def gram(x) -> np.ndarray:
             w = t1 - t0
             _step_major(x.T, t0, t1, xs[:, :n, :w])
             xs[:, n:, :w] = xs[:, :half, :w]
-            for s in range(_BLOCK):
-                # the ragged last block stops after ``tail`` steps
-                c = w - (t1 == nb and s >= tail)
-                ac = acc[:, :, t0 - g0:t0 - g0 + c]
-                prod = ac if s == 0 else tmp[:, :, :c]
-                np.multiply(xs[s, None, :n, :c], shifted[s, :, :, :c], out=prod)
-                if s:
-                    np.add(ac, prod, out=ac)
+            _block_sums(xs[:, None, :n, :w], shifted[..., :w],
+                        acc[:, :, t0 - g0:t1 - g0], tmp, k - _BLOCK * (t1 - 1))
         # a group of 2^L blocks is a whole subtree of the carry tree; the
         # merge of a one-block group is a view of acc, hence the copy
         part = _carry_tree(acc[:, :, :g1 - g0]).copy()
@@ -411,8 +411,9 @@ def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
     A column of no entries sums to +0.0, like :func:`fixed_sum`.
     """
     m = np.asarray(m, dtype=np.float64)
-    ones = np.broadcast_to(1.0, (1, m.shape[0]))
-    return _reduce(ones, _reduce_operand(m, 1))[0]
+    if m.shape[0] == 0:
+        return np.zeros(m.shape[1])
+    return _reduce_steps(np.broadcast_to(1.0, (1, m.shape[0])), _steps(m))[0]
 
 
 def cholesky(g) -> np.ndarray:

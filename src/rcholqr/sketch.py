@@ -14,13 +14,14 @@ result bits depend neither on the block size nor on which of its two
 workers, the caller and a thread started on every call, reduces a block;
 :func:`densify` draws the whole operator at once, as the reference.
 
-The reduction multiplies only X's nonzeros where X is sparse: a column of
-X with at most 16 nonzeros in each 32-row block is packed (see ``dense``),
-as are 19 of the 20 columns of a t1 input and all 20 of a t2 input.  A
-skipped product is a finite normal times +-0, and adding +-0 to a nonzero
-partial sum leaves it exactly as it was, so the result keeps the bits of
-the step-major product; a sum that comes out +-0 is recomputed step-major
-for its sign.  The draw is then the floor: the stream is read serially,
+X is dense, and the reduction multiplies only its nonzeros where it is
+sparse: a column of X with at most 16 nonzeros in each 32-row block is
+packed (see ``dense``; this apply is the only product that packs), as are
+19 of the 20 columns of a t1 input and all 20 of a t2 input.  A skipped
+product is a finite normal times +-0, and adding +-0 to a nonzero partial
+sum leaves it exactly as it was, so the result keeps the bits of the
+step-major product; a sum that comes out +-0 is recomputed step-major for
+its sign.  The draw is then the floor: the stream is read serially,
 about 20 ms per 50 x 20000 block on a 2-vCPU Xeon, against 10-15 ms to
 reduce a packed t1 or t2 block.
 """
@@ -163,7 +164,8 @@ def _block_rows(s: int, m_in: int) -> int:
 
 
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
-    """Omega X with Omega drawn from its seed one row block at a time.
+    """Omega X, for a dense X, with Omega drawn from its seed one row block
+    at a time.
 
     Two workers, the caller and a helper thread started on every call and
     joined before it returns, take row blocks in turn; with one block, the
@@ -175,13 +177,9 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     The bits equal ``dense.matmul(densify(op), X)``.  An error in either
     worker stops both and is raised here.
     """
-    if isinstance(x, sparse.CSRMatrix):
-        rows_in = x.rows  # checked before X is densified
-    else:
-        x = dense.as_matrix(x)
-        rows_in = x.shape[0]
-    if rows_in != op.in_rows:
-        raise DimensionError(f"operator expects {op.in_rows} rows, got {rows_in}")
+    x = dense.as_matrix(x)
+    if x.shape[0] != op.in_rows:
+        raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
     s = op.out_rows
     rows = _block_rows(s, op.in_rows)
     scale = sqrt(s)
@@ -214,7 +212,6 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     helper = threading.Thread(target=work, name="rcholqr-sketch")
     helper.start()
     try:
-        x = sparse.as_dense(x)
         out = np.empty((s, x.shape[1]))
         operand.append(dense._reduce_operand(x, rows))
     except BaseException as exc:

@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -253,10 +256,16 @@ def test_entry_points_reject_non_finite_x(monkeypatch, call, bad):
     assert draws == []  # the sketched ones fail before drawing a block
 
 
-@pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (SR, 100, 0),
-                                         (MR, 400, 100)])
-def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2):
-    x = t1_dense(1e-4, q=100)  # 2000 x 20
+@pytest.mark.parametrize("alg, s1, s2, q", [
+    pytest.param(CHOLQR2, 0, 0, 100, id="cholqr2-0-0"),
+    pytest.param(SR, 100, 0, 100, id="sr-100-0"),
+    pytest.param(MR, 400, 100, 100, id="mr-400-100"),
+    # 20000 x 20 in two 50-row blocks over 625 summation blocks, so the
+    # Gaussian apply packs; its drawn blocks are not scanned
+    pytest.param(SR, 100, 0, 1000, id="sr-100-0-packed"),
+])
+def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2, q):
+    x = t1_dense(1e-4, q=q)  # 20 q x 20
     scans = []
     real = np.isfinite
 
@@ -266,8 +275,29 @@ def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", counting)
-    spec = GeneratorSpec("t1", sigma=1e-4, block_count=100)
+    spec = GeneratorSpec("t1", sigma=1e-4, block_count=q)
     records, _ = run_experiment(
         ExperimentConfig(spec, alg, s1=s1, s2=s2, trials=1), x=x)
     assert records[0].outcome == SUCCESS  # every stage and metric ran
     assert scans == [x.shape]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's dynamic mmap threshold")
+@pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (MR, 2800, 500)])
+def test_trials_reuse_heap_pages(alg, s1, s2):
+    # A one-row sum (fro_norm of the residual) frees a 16 MB step-major
+    # buffer, which raises glibc's mmap threshold, so later m x n
+    # temporaries reuse heap pages.  Sizing that buffer to its use cost
+    # about 3900 (cholqr2) and 6500 (mr) minor page faults per trial.
+    x = t1_dense(1e-4, q=1000)  # 20000 x 20
+    config = ExperimentConfig(GeneratorSpec("t1", sigma=1e-4, block_count=1000),
+                              alg, s1=s1, s2=s2, trials=1)
+    for _ in range(2):  # from a cold start, the first two trials grow the heap
+        run_experiment(config, x=x)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        records, _ = run_experiment(config, x=x)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert records[0].outcome == SUCCESS
+        assert faults < 100
