@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import dense, norms, sparse
+import numpy as np
+
+from . import dense, sparse
 from .errors import AssumptionViolated, ParamError, RankDeficient
 from .sketch import EmbeddingParams, combine_embedding
 
@@ -257,13 +259,16 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     emb = params.embedding()
     assumption_ok = not sketched or check_assumption_multi(
         emb.eps_s, emb.eps_b, m, n, u)
-    # one spectrum measurement feeds ||X||_2, kappa, eta, and j
-    sv = dense.singular_values(xd)
+    # one Gram matrix feeds ||X||_2, kappa, eta, and j: the spectrum is
+    # dense.singular_values(xd), and its diagonal is fixed_sum_rows(xd * xd)
+    # bit for bit, so j is norms.g_norm(xd) / ||X||_2 written on it
+    g = dense.gram(xd)
+    sv = np.sqrt(np.maximum(dense.sym_eigenvalues(g), 0.0))
     norm_x = float(sv[0])
     if norm_x == 0.0:
         raise RankDeficient("zero matrix has no condition number")
     eta_m = profile.c / norm_x
-    j_m = norms.g_norm(xd) / norm_x
+    j_m = float(np.sqrt(n)) * float(np.sqrt(np.max(np.diagonal(g)))) / norm_x
     kappa = float(sv[0] / sv[-1]) if sv[-1] >= 1e-300 else math.inf
     limit = kappa_limit(profile, params, m, n, eta_m, j_m, u)
     constants = {

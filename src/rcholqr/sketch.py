@@ -24,13 +24,20 @@ step-major product; a sum that comes out +-0 is recomputed step-major for
 its sign.  The draw is then the floor: the stream is read serially,
 about 20 ms per 50 x 20000 block on a 2-vCPU Xeon, against 10-15 ms to
 reduce a packed t1 or t2 block.
+
+The Gaussian stage of a composed sketch depends on nothing but its seed,
+so :func:`apply_multi` checks both stages' shapes, starts the Gaussian
+helper, and runs the CountSketch stage in the caller while the helper
+draws; the stage's output is the Gaussian apply's X.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import floor, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +170,15 @@ def _block_rows(s: int, m_in: int) -> int:
     return -(-s // count)
 
 
+class _CountSketched(NamedTuple):
+    """The CountSketch of X, made by :func:`apply_gaussian`'s caller while
+    its helper draws.  ``cols`` is X's column count; both stages' shapes
+    are checked before it is made."""
+
+    cols: int
+    make: Callable[[], np.ndarray]
+
+
 def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     """Omega X, for a dense X, with Omega drawn from its seed one row block
     at a time.
@@ -173,13 +189,18 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     a lock, so the stream is read in row order whoever takes a block,
     scales it outside the lock, and reduces it against X into its own rows
     of the result.  The helper starts drawing before the caller has made
-    the reduction's operand, which it waits for.
+    the reduction's operand, which it waits for; under :func:`apply_multi`
+    the caller first makes X itself, the CountSketch stage.
     The bits equal ``dense.matmul(densify(op), X)``.  An error in either
     worker stops both and is raised here.
     """
-    x = dense.as_matrix(x)
-    if x.shape[0] != op.in_rows:
-        raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
+    if isinstance(x, _CountSketched):
+        cols, make = x
+    else:
+        x = dense.as_matrix(x)
+        if x.shape[0] != op.in_rows:
+            raise DimensionError(f"operator expects {op.in_rows} rows, got {x.shape[0]}")
+        cols, make = x.shape[1], lambda: x
     s = op.out_rows
     rows = _block_rows(s, op.in_rows)
     scale = sqrt(s)
@@ -212,8 +233,8 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     helper = threading.Thread(target=work, name="rcholqr-sketch")
     helper.start()
     try:
-        out = np.empty((s, x.shape[1]))
-        operand.append(dense._reduce_operand(x, rows))
+        out = np.empty((s, cols))
+        operand.append(dense._reduce_operand(make(), rows))
     except BaseException as exc:
         stop = True
         errors.append(exc)
@@ -226,7 +247,24 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
 
 
 def apply_multi(op: MultiSketchOp, x) -> np.ndarray:
-    return apply_gaussian(op.gauss, apply_countsketch(op.count, x))
+    """Gaussian stage of the CountSketch stage of X.
+
+    Both stages' shapes are checked first; the Gaussian helper then draws
+    while the caller applies the CountSketch, in place of after it.  The
+    bits equal ``apply_gaussian(op.gauss, apply_countsketch(op.count, X))``.
+    """
+    if isinstance(x, sparse.CSRMatrix):
+        rows, cols = x.rows, x.cols
+    else:
+        x = dense.as_matrix(x)
+        rows, cols = x.shape
+    if rows != op.count.in_rows:
+        raise DimensionError(f"operator expects {op.count.in_rows} rows, got {rows}")
+    if op.count.out_rows != op.gauss.in_rows:
+        raise DimensionError(f"CountSketch makes {op.count.out_rows} rows, "
+                             f"Gaussian stage expects {op.gauss.in_rows}")
+    return apply_gaussian(op.gauss, _CountSketched(
+        cols, lambda: apply_countsketch(op.count, x)))
 
 
 def densify(op) -> np.ndarray:

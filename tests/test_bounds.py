@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rcholqr import bounds, sparse
+from rcholqr import bounds, dense, norms, sparse
 from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams
 from rcholqr.errors import AssumptionViolated, ParamError, RankDeficient
 from rcholqr.generators import GeneratorSpec, make_t1
@@ -261,6 +261,18 @@ def test_build_bound_report_constants_pinned():
     for alg, (params, pairs) in expected.items():
         report = bounds.build_bound_report(x, alg, params)
         assert list(report.constants.items()) == pairs, alg
+
+
+@pytest.mark.parametrize("shape", [(33, 5), (417, 11), (4096, 20), (100000, 3)])
+def test_build_bound_report_j_is_g_norm_over_two_norm(shape):
+    # the report takes j from the diagonal of the Gram matrix it forms for
+    # the spectrum; that must be norms.g_norm bit for bit, through zeros and
+    # entries far from 1
+    rng = np.random.default_rng(shape[0])
+    x = rng.standard_normal(shape) * np.exp2(rng.integers(-150, 151, shape))
+    x[rng.random(shape) < 0.3] = 0.0
+    report = bounds.build_bound_report(x, CHOLQR2, NO_SKETCH)
+    assert report.constants["j"] == norms.g_norm(x) / dense.singular_values(x)[0]
 
 
 def test_build_bound_report_zero_matrix_raises():

@@ -407,13 +407,70 @@ def test_multisketch_build_and_apply():
                           np.zeros((12, 3)))
 
 
-def test_multisketch_chain_validation():
+def test_multisketch_chain_validation(monkeypatch):
     with pytest.raises(ParamError):
         sketch.build_multisketch(10, 20, 50, 0)
+    drawn = []
+    monkeypatch.setattr(sketch, "_draw", lambda rng, rows, op: drawn.append(rows))
     count = sketch.build_countsketch(10, 50, 0)
     gauss = sketch.build_gaussian(5, 11, 0)
     with pytest.raises(DimensionError):
         sketch.apply_multi(sketch.MultiSketchOp(count, gauss), np.ones((50, 2)))
+    assert drawn == []  # both stages' shapes are checked before the draw
+
+
+@pytest.mark.parametrize("kind", ["t1", "t2", "dense"])
+@pytest.mark.parametrize("draw", [None, 5 * 320])
+def test_apply_multi_is_the_gaussian_stage_of_the_countsketch_stage(monkeypatch, kind, draw):
+    # 400 x 20; one Gaussian block, or eleven 5-row blocks (packed on t1, t2)
+    if draw is not None:
+        monkeypatch.setattr(sketch, "_DRAW", draw)
+    x = sparse.as_dense(generators.generate(GeneratorSpec(kind, sigma=1e-4, block_count=20)))
+    op = sketch.build_multisketch(320, 52, x.shape[0], seed=48)
+    want = dense.matmul(sketch.densify(op.gauss), sketch.apply_countsketch(op.count, x))
+    assert _same_bits(sketch.apply_multi(op, x), want)
+
+
+def test_helper_draws_while_the_countsketch_stage_runs(monkeypatch):
+    drawing = threading.Event()
+    seen = []
+    draw, count = sketch._draw, sketch.apply_countsketch
+
+    def spy_draw(rng, rows, op):
+        drawing.set()
+        return draw(rng, rows, op)
+
+    def spy_count(op, x):
+        seen.append(drawing.wait(timeout=10))
+        return count(op, x)
+
+    monkeypatch.setattr(sketch, "_draw", spy_draw)
+    monkeypatch.setattr(sketch, "apply_countsketch", spy_count)
+    x = np.random.default_rng(49).standard_normal((4000, 3))
+    op = sketch.build_multisketch(2800, 500, 4000, seed=50)
+    got = sketch.apply_multi(op, x)
+    assert seen == [True]
+    assert _same_bits(got, dense.matmul(sketch.densify(op.gauss), count(op.count, x)))
+
+
+def test_countsketch_stage_error_stops_the_helper(monkeypatch):
+    drawn = []
+    draw = sketch._draw
+
+    def counted(rng, rows, op):
+        drawn.append(rows)
+        return draw(rng, rows, op)
+
+    def broken(op, x):
+        raise RuntimeError("CountSketch stage failed")
+
+    monkeypatch.setattr(sketch, "_draw", counted)
+    monkeypatch.setattr(sketch, "apply_countsketch", broken)
+    op = sketch.build_multisketch(2800, 500, 20000, seed=51)  # two 250-row blocks
+    with pytest.raises(RuntimeError, match="CountSketch stage failed"):
+        sketch.apply_multi(op, np.ones((20000, 2)))
+    assert len(drawn) <= 1  # the helper stops after the block it took, if any
+    assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
 
 
 def test_countsketch_min_rows():
