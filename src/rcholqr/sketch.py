@@ -173,7 +173,9 @@ def _block_rows(s: int, m_in: int) -> int:
 class _CountSketched(NamedTuple):
     """The CountSketch of X, made by :func:`apply_gaussian`'s caller while
     its helper draws.  ``cols`` is X's column count; both stages' shapes
-    are checked before it is made."""
+    are checked before it is made.  It goes through the module attribute
+    ``apply_gaussian``, so a wrapper of that (the benchmark's tracer) sees
+    mr's Gaussian stage, with the CountSketch apply inside it."""
 
     cols: int
     make: Callable[[], np.ndarray]
@@ -247,17 +249,14 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
 
 
 def apply_multi(op: MultiSketchOp, x) -> np.ndarray:
-    """Gaussian stage of the CountSketch stage of X.
+    """The Gaussian stage of the CountSketch stage of a dense X.
 
     Both stages' shapes are checked first; the Gaussian helper then draws
-    while the caller applies the CountSketch, in place of after it.  The
+    while the caller applies the CountSketch, rather than after it.  The
     bits equal ``apply_gaussian(op.gauss, apply_countsketch(op.count, X))``.
     """
-    if isinstance(x, sparse.CSRMatrix):
-        rows, cols = x.rows, x.cols
-    else:
-        x = dense.as_matrix(x)
-        rows, cols = x.shape
+    x = dense.as_matrix(x)
+    rows, cols = x.shape
     if rows != op.count.in_rows:
         raise DimensionError(f"operator expects {op.count.in_rows} rows, got {rows}")
     if op.count.out_rows != op.gauss.in_rows:
