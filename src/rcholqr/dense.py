@@ -2,8 +2,8 @@
 
 Matrices are plain C-ordered float64 ``numpy`` arrays.  Every reduction in
 ``matmul``, ``gram``, ``fixed_sum`` and ``fixed_sum_rows`` (and so in the
-norms and the Gaussian sketch built on them) runs in one deterministic
-order: the summation axis is cut into 32-wide blocks, each block is summed
+norms, the residual and the Gaussian sketch built on them) runs in one
+deterministic order: the summation axis is cut into 32-wide blocks, each block is summed
 left to right, and the block partials are merged by a carry-pairwise tree
 (neighbours added pairwise, an odd last partial carried up unchanged) whose
 shape depends only on the length of the summation axis.  Results are
@@ -31,6 +31,12 @@ normal times +-0, which is +-0, and adding +-0 to a nonzero partial
 returns that partial exactly; so every nonzero sum has the step-major
 bits, with underflow, overflow and cancellation alike.  Only a zero sum
 can differ, in its sign, and those sums are recomputed step-major.
+
+The residual's product with an upper-triangular R,
+:func:`_matmul_upper`, follows R's triangle in the same order: step s
+forms products only for the columns j >= s, since the others would
+multiply R's structural zeros.  By the same argument, only the sign of a
+zero entry can differ from :func:`matmul`'s, and the residual squares it.
 
 ``gram`` runs the same steps on column pairs instead of rows times
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
@@ -60,7 +66,7 @@ _ACC = 1 << 20  # entries of the block partials of one row chunk (8 MiB)
 _COPY = 1 << 19  # entries of the step-major copy of one left chunk (4 MiB)
 _TILE = 256  # blocks per transposing copy
 _PACKED = 16  # most nonzeros per block of a packed column
-_SOLVE_ROWS = 4096  # rows of X per triangular-solve chunk
+_TRI_ROWS = 4096  # rows per chunk of the triangular kernels
 _BUFSIZE = 256  # ufunc buffer entries inside the kernels (numpy default 8192)
 
 
@@ -443,14 +449,55 @@ def cholesky(g) -> np.ndarray:
     return r
 
 
+def _matmul_upper(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A triu(R) under the fixed scheme, forming only the products with
+    R's upper triangle; the strictly lower part of ``r`` is never read.
+
+    Works on transposed chunks of ``_TRI_ROWS`` rows of A (fewer where
+    the partials would pass ``_ACC`` entries).  Step s adds
+    a[:, s] r[s, j] to the partial of every column j >= s in block
+    s // 32, as one multiply and one add; the partials of a block start
+    at +0 for the columns left of it.  :func:`_carry_tree` merges them.
+    For a finite A, a skipped product is +-0, and adding +-0 returns a
+    nonzero sum exactly, so against ``matmul(a, np.triu(r))`` every
+    nonzero entry keeps its bits; a zero entry can differ in its sign.
+    ``qr.residual`` is the one caller.
+    """
+    m, n = a.shape
+    nb = -(-n // _BLOCK)
+    rows = max(1, min(m, _TRI_ROWS, _ACC // (nb * n)))
+    at = np.empty((n, rows))
+    acc = np.empty((nb, n, rows))
+    tmp = np.empty((n, rows))
+    out = np.empty((m, n))
+    for c0 in range(0, m, rows):
+        k = min(m, c0 + rows) - c0
+        ak = at[:, :k]
+        np.copyto(ak, a[c0:c0 + k].T)
+        for s in range(n):
+            b, step = divmod(s, _BLOCK)
+            part = acc[b, s:, :k]
+            if step == 0:
+                acc[b, :s, :k] = 0.0
+                np.multiply(ak[s], r[s, s:, None], out=part)
+            else:
+                t = tmp[s:, :k]
+                np.multiply(ak[s], r[s, s:, None], out=t)
+                np.add(part, t, out=part)
+        out[c0:c0 + k] = _carry_tree(acc[:, :, :k].transpose(1, 2, 0)).T
+    return out
+
+
 def trisolve_right(x, r) -> np.ndarray:
-    """Solve W R = X for W by per-row back-substitution.
+    """Solve W R = X for W, right-looking.
 
     ``r`` is a Cholesky factor: upper triangular with a positive
     diagonal, which is not checked; the strictly lower part is never read.
     Column j of W is (X[:, j] - sum_{l<j} W[:, l] r[l, j]) / r[j, j], the
-    terms subtracted in order of l.  The columns are worked on as
-    contiguous rows of a transposed chunk of ``_SOLVE_ROWS`` rows of X.
+    terms subtracted in order of l: once column l is divided by r[l, l],
+    one multiply and one subtract take its term off every later column.
+    The columns are worked on as contiguous rows of a transposed chunk of
+    ``_TRI_ROWS`` rows of X.
     """
     x = as_matrix(x)
     r = as_matrix(r, "triangular factor")
@@ -458,18 +505,20 @@ def trisolve_right(x, r) -> np.ndarray:
     if r.shape != (n, n):
         raise DimensionError(f"factor shape {r.shape} does not match {x.shape}")
     diag = np.diagonal(r)
+    rows = min(m, _TRI_ROWS)
+    wt = np.empty((n, rows))
+    tmp = np.empty((n, rows))
     w = np.empty((m, n))
-    for c0 in range(0, m, _SOLVE_ROWS):
-        rows = min(m, c0 + _SOLVE_ROWS) - c0
-        wt = x[c0:c0 + rows].T.copy()
-        tmp = np.empty(rows)
+    for c0 in range(0, m, rows):
+        k = min(m, c0 + rows) - c0
+        wk = wt[:, :k]
+        np.copyto(wk, x[c0:c0 + k].T)
         for j in range(n):
-            acc = wt[j]
-            for l in range(j):
-                np.multiply(wt[l], r[l, j], out=tmp)
-                np.subtract(acc, tmp, out=acc)
-            np.divide(acc, diag[j], out=acc)
-        w[c0:c0 + rows] = wt.T
+            np.divide(wk[j], diag[j], out=wk[j])
+            t = tmp[j + 1:, :k]
+            np.multiply(wk[j], r[j, j + 1:, None], out=t)
+            np.subtract(wk[j + 1:], t, out=wk[j + 1:])
+        w[c0:c0 + k] = wk.T
     return w
 
 

@@ -36,12 +36,27 @@ def orthogonality(q) -> float:
 
 
 def residual(q, r, x) -> float:
-    """||Q R - X||_F."""
+    """||Q R - X||_F for an upper-triangular R.
+
+    Only R's upper triangle is read, as in ``dense.trisolve_right``.  Q R
+    is formed from it alone (``dense._matmul_upper``) into one m x n
+    buffer, from which X is subtracted and which is squared in place.
+    For a finite Q this is ``fro_norm(matmul(q, np.triu(r)) - x)`` bit
+    for bit: the product's entries differ at most in the sign of a zero,
+    which the square drops.
+    """
     q = dense.as_matrix(q)
     x = dense.as_matrix(x)
+    r = dense.as_matrix(r, "triangular factor")
+    n = q.shape[1]
     if q.shape != x.shape:
         raise DimensionError(f"Q shape {q.shape} does not match X shape {x.shape}")
-    return fro_norm(dense.matmul(q, r) - x)
+    if r.shape != (n, n):
+        raise DimensionError(f"R shape {r.shape} is not {n} x {n}")
+    d = dense._matmul_upper(q, r)
+    np.subtract(d, x, out=d)
+    np.multiply(d, d, out=d)
+    return float(np.sqrt(dense.fixed_sum(d)))
 
 
 def _gram_factor(a, stage: str) -> np.ndarray:

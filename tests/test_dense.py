@@ -274,8 +274,12 @@ def test_trisolve_recovers_solution():
 
 
 def test_trisolve_matches_column_replay():
+    # rows either side of the chunk and on it; more than one summation
+    # block's worth of columns
     rng = np.random.default_rng(16)
-    for m, n in [(1, 1), (37, 5), (9000, 20)]:
+    rows = dense._TRI_ROWS
+    for m, n in [(1, 1), (37, 5), (9000, 20), (33, 33), (100, 40),
+                 (rows - 1, 40), (rows, 33), (rows + 1, 40), (2 * rows + 1, 20)]:
         x = rng.standard_normal((m, n))
         r = np.triu(rng.standard_normal((n, n))) + 2.0 * np.eye(n)
         got = dense.trisolve_right(x, r)
@@ -288,6 +292,24 @@ def test_trisolve_matches_column_replay_on_t1():
                                     algorithm=CHOLQR2))
     r = dense.cholesky(dense.gram(x))
     assert _same_bits(dense.trisolve_right(x, r), trisolve_reference(x, r))
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 32, 33, 40, 70])
+def test_matmul_upper_matches_replay_but_for_zero_signs(monkeypatch, n):
+    # A chunk of 16 rows, so 15, 16 and 17 rows cut the chunks.  The
+    # lower triangle of r is junk that must not be read.
+    monkeypatch.setattr(dense, "_TRI_ROWS", 16)
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((n, n))
+    r[rng.random((n, n)) < 0.2] = 0.0
+    for m in [1, n, 15, 16, 17]:
+        a = rng.standard_normal((m, n))
+        a[rng.random((m, n)) < 0.3] = -0.0
+        got = dense._matmul_upper(a, r)
+        want = matmul_reference(a, np.triu(r))
+        nonzero = want != 0
+        assert np.array_equal(got, want)  # -0 == +0
+        assert _same_bits(got[nonzero], want[nonzero])
 
 
 def test_sym_eigenvalues_diagonal():

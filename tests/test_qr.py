@@ -9,8 +9,9 @@ from rcholqr.bench import SUCCESS, ExperimentConfig, run_experiment
 from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams, build_bound_report
 from rcholqr.errors import CholeskyBreakdown, DimensionError
 from rcholqr.generators import GeneratorSpec, make_dense, make_t1
+from rcholqr.norms import fro_norm
 
-from oracles import householder_qr
+from oracles import householder_qr, matmul_reference
 
 
 def t1_dense(sigma, q=200):
@@ -209,6 +210,57 @@ def test_residual_metric():
 def test_residual_shape_check():
     with pytest.raises(DimensionError):
         qr.residual(np.eye(3), np.eye(3), np.eye(4))
+    q = x = np.ones((10, 3))
+    for r in [np.eye(3, 4), np.eye(4, 3), np.eye(2), np.ones(3)]:
+        with pytest.raises(DimensionError):
+            qr.residual(q, r, x)
+
+
+def _residual_reference(q, r, x):
+    return fro_norm(matmul_reference(q, np.triu(r)) - x)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 32, 33, 40, 70])
+def test_residual_matches_replay(monkeypatch, n):
+    # A chunk of 16 rows, so 15 and 17 rows straddle it.  Q and X hold
+    # exact zeros of both signs, R's upper triangle exact zeros and its
+    # lower triangle junk, which the residual must not read.
+    monkeypatch.setattr(dense, "_TRI_ROWS", 16)
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((n, n))
+    r[rng.random((n, n)) < 0.2] = 0.0
+    for m in [1, n, 15, 17]:
+        q, x = rng.standard_normal((2, m, n))
+        q[rng.random((m, n)) < 0.2] = 0.0
+        q[rng.random((m, n)) < 0.2] = -0.0
+        x[rng.random((m, n)) < 0.2] = -0.0
+        x[0] = 0.0
+        got = qr.residual(q, r, x)
+        assert got.hex() == _residual_reference(q, r, x).hex()
+
+
+def test_residual_matches_replay_at_the_chunk_size():
+    rng = np.random.default_rng(21)
+    r = np.triu(rng.standard_normal((20, 20)))
+    for m in [dense._TRI_ROWS - 1, dense._TRI_ROWS + 1]:
+        q, x = rng.standard_normal((2, m, 20))
+        q[:, 3] = -0.0
+        got = qr.residual(q, r, x)
+        assert got.hex() == _residual_reference(q, r, x).hex()
+
+
+@pytest.fixture(scope="module")
+def t1_paper():
+    return t1_dense(1e-4, q=1000)  # 20000 x 20
+
+
+@pytest.mark.parametrize("params", [
+    SketchParams.none(), SketchParams(SR, s1=500), SketchParams(MR, s1=2800, s2=500),
+], ids=["cholqr2", "sr", "mr"])
+def test_residual_of_t1_trials_matches_replay(t1_paper, params):
+    res = qr.factorize(params, t1_paper, 3)
+    got = qr.residual(res.q, res.r, t1_paper)
+    assert got.hex() == _residual_reference(res.q, res.r, t1_paper).hex()
 
 
 @pytest.mark.parametrize("params", [
@@ -284,7 +336,7 @@ def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2, q):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="pins glibc's dynamic mmap threshold")
-@pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (MR, 2800, 500)])
+@pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (SR, 500, 0), (MR, 2800, 500)])
 def test_trials_reuse_heap_pages(alg, s1, s2):
     # A one-row sum (fro_norm of the residual) frees a 16 MB step-major
     # buffer, which raises glibc's mmap threshold, so later m x n
