@@ -3,13 +3,13 @@
 Matrices are plain C-ordered float64 ``numpy`` arrays.  Every reduction in
 ``matmul``, ``gram``, ``fixed_sum`` and ``fixed_sum_rows`` (and so in the
 norms, the residual and the Gaussian sketch built on them) runs in one
-deterministic order: the summation axis is cut into 32-wide blocks, each block is summed
-left to right, and the block partials are merged by a carry-pairwise tree
-(neighbours added pairwise, an odd last partial carried up unchanged) whose
-shape depends only on the length of the summation axis.  Results are
-therefore bit-reproducible across runs, thread counts, and BLAS builds,
-while rounding error grows like the block size plus the tree depth instead
-of linearly in the reduced dimension.
+deterministic order: the summation axis is cut into 32-wide blocks, each
+block is summed left to right, and the block partials are merged by a
+carry-pairwise tree (neighbours added pairwise, an odd last partial
+carried up unchanged) whose shape depends only on the length of the
+summation axis.  Results are therefore bit-reproducible across runs,
+thread counts, and BLAS builds, while rounding error grows like the block
+size plus the tree depth instead of linearly in the reduced dimension.
 
 One loop, :func:`_block_sums`, forms the block partials of every product
 and of ``gram``: step s of every block at once, as one vectorized

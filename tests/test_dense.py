@@ -294,24 +294,6 @@ def test_trisolve_matches_column_replay_on_t1():
     assert _same_bits(dense.trisolve_right(x, r), trisolve_reference(x, r))
 
 
-@pytest.mark.parametrize("n", [1, 5, 20, 32, 33, 40, 70])
-def test_matmul_upper_matches_replay_but_for_zero_signs(monkeypatch, n):
-    # A chunk of 16 rows, so 15, 16 and 17 rows cut the chunks.  The
-    # lower triangle of r is junk that must not be read.
-    monkeypatch.setattr(dense, "_TRI_ROWS", 16)
-    rng = np.random.default_rng(n)
-    r = rng.standard_normal((n, n))
-    r[rng.random((n, n)) < 0.2] = 0.0
-    for m in [1, n, 15, 16, 17]:
-        a = rng.standard_normal((m, n))
-        a[rng.random((m, n)) < 0.3] = -0.0
-        got = dense._matmul_upper(a, r)
-        want = matmul_reference(a, np.triu(r))
-        nonzero = want != 0
-        assert np.array_equal(got, want)  # -0 == +0
-        assert _same_bits(got[nonzero], want[nonzero])
-
-
 def test_sym_eigenvalues_diagonal():
     assert np.array_equal(dense.sym_eigenvalues(np.diag([3.0, 1.0, 2.0])),
                           [3.0, 2.0, 1.0])

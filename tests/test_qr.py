@@ -222,21 +222,26 @@ def _residual_reference(q, r, x):
 
 @pytest.mark.parametrize("n", [1, 5, 20, 32, 33, 40, 70])
 def test_residual_matches_replay(monkeypatch, n):
-    # A chunk of 16 rows, so 15 and 17 rows straddle it.  Q and X hold
-    # exact zeros of both signs, R's upper triangle exact zeros and its
-    # lower triangle junk, which the residual must not read.
+    # A chunk of 16 rows, so 15, 16 and 17 rows cut the chunks.  Q and X
+    # hold exact zeros of both signs, R's upper triangle exact zeros and
+    # its lower triangle junk, which the residual must not read.  The
+    # product keeps the bits of every nonzero entry.
     monkeypatch.setattr(dense, "_TRI_ROWS", 16)
     rng = np.random.default_rng(n)
     r = rng.standard_normal((n, n))
     r[rng.random((n, n)) < 0.2] = 0.0
-    for m in [1, n, 15, 17]:
+    for m in [1, n, 15, 16, 17]:
         q, x = rng.standard_normal((2, m, n))
         q[rng.random((m, n)) < 0.2] = 0.0
         q[rng.random((m, n)) < 0.2] = -0.0
         x[rng.random((m, n)) < 0.2] = -0.0
         x[0] = 0.0
-        got = qr.residual(q, r, x)
-        assert got.hex() == _residual_reference(q, r, x).hex()
+        want = matmul_reference(q, np.triu(r))
+        product = dense._matmul_upper(q, r)
+        nonzero = want != 0
+        assert np.array_equal(product, want)  # -0 == +0
+        assert product[nonzero].tobytes() == want[nonzero].tobytes()
+        assert qr.residual(q, r, x).hex() == fro_norm(want - x).hex()
 
 
 def test_residual_matches_replay_at_the_chunk_size():
