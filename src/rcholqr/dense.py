@@ -20,6 +20,13 @@ innermost axis.  It works in chunks that fit in cache; the left operand
 is copied chunk by chunk, the right operand once.  No layout or chunk
 size changes a bit of the result.
 
+A sum (``fixed_sum``, ``fixed_sum_rows``) forms no product: as a product
+with a row of ones it would multiply by 1.0, which is exact, so
+:func:`_block_adds` adds each block's 32 steps directly.  The summands
+are copied step-major one chunk of about 512 KiB at a time, and one
+carry tree merges the block partials, so a sum holds a chunk and 1/32 of
+its summands and has the bits of ``matmul(ones, M)``.
+
 Only the Gaussian sketch's apply, whose left operand is a block of drawn
 normals, packs its right operand (:func:`_reduce`).  Where the blocks
 are innermost and the left block has more than one row, a right-operand
@@ -61,7 +68,7 @@ from .errors import CholeskyBreakdown, DimensionError
 UNIT_ROUNDOFF = 2.0 ** -53
 
 _BLOCK = 32
-_CHUNK = 1 << 16  # entries of one vectorized step (512 KiB)
+_CHUNK = 1 << 16  # entries of one vectorized step, or of a sum's chunk (512 KiB)
 _ACC = 1 << 20  # entries of the block partials of one row chunk (8 MiB)
 _COPY = 1 << 19  # entries of the step-major copy of one left chunk (4 MiB)
 _TILE = 256  # blocks per transposing copy
@@ -221,6 +228,18 @@ def _block_sums(left, right, acc, tmp, last: int) -> None:
         np.add(acc, tmp, out=acc)
 
 
+def _block_adds(steps, acc, last: int) -> None:
+    """acc[t] = sum_s steps[s, t], s = 0..31 in order: the loop of
+    :func:`_block_sums` for a sum, without its products by 1.0, which are
+    exact.  Here the blocks are the first axis of ``acc``; ``last`` is as
+    in :func:`_block_sums`."""
+    np.copyto(acc, steps[0])
+    for s in range(1, _BLOCK):
+        if s == last:  # the ragged last block has ended
+            steps, acc = steps[:, :-1], acc[:-1]
+        np.add(acc, steps[s], out=acc)
+
+
 @_small_buffers
 def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """sum_l a[:, l] b[l, :] for ``bs = _steps(b)``: the step-major kernel.
@@ -236,13 +255,9 @@ def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     if q == 0:
         return np.zeros((p, 0))
     if nb >= p:
-        rows = max(1, _CHUNK // (q * nb))
-        if p > 1:
-            # Bound the copy of a chunk of rows.  One row copies only itself
-            # and keeps its larger buffer: freeing that raises glibc's
-            # mmap threshold, which spares later m x n temporaries their
-            # page faults (about 3900 per cholqr2 trial at 20000 x 20).
-            rows = min(p, rows, _COPY // (_BLOCK * nb))
+        # the step-major copy of a chunk of rows is at most _COPY entries,
+        # or one row
+        rows = max(1, min(p, _CHUNK // (q * nb), _COPY // (_BLOCK * nb)))
         cb = nb
         abuf = np.empty((_BLOCK, rows, cb))
         acc = np.empty((rows, q, nb))
@@ -403,23 +418,41 @@ def gram(x) -> np.ndarray:
 
 
 def fixed_sum(v) -> float:
-    """Deterministic sum of a 1-D array: matmul of the row against ones.
-
-    Same kernel and order as :func:`matmul`, signed zeros included.
-    """
+    """Deterministic sum of a 1-D array, in :func:`matmul`'s order: the
+    bits of the row times a column of ones, signed zeros included."""
     v = np.asarray(v, dtype=np.float64).ravel()
     return float(fixed_sum_rows(v[:, None])[0])
 
 
 def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
-    """Column-wise deterministic sums of a 2-D array (axis 0): ones @ M.
+    """Column-wise deterministic sums of a 2-D array (axis 0), with the
+    bits of ``matmul(ones, M)``.
 
-    A column of no entries sums to +0.0, like :func:`fixed_sum`.
+    Chunks of about ``_CHUNK`` entries (or one block) of M are copied
+    step-major, steps[s, t, j] = M[32 t + s, j], and :func:`_block_adds`
+    adds each chunk's 32 steps into the partials acc[block, column], which
+    one :func:`_carry_tree` merges.  Only the chunk and the partials, 1/32
+    of M, are held.  A column of no entries sums to +0.0, like
+    :func:`fixed_sum`.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] == 0:
-        return np.zeros(m.shape[1])
-    return _reduce_steps(np.broadcast_to(1.0, (1, m.shape[0])), _steps(m))[0]
+    k, q = m.shape
+    if k == 0 or q == 0:
+        return np.zeros(q)
+    nb = -(-k // _BLOCK)
+    cb = max(1, min(nb, _CHUNK // (_BLOCK * q)))
+    steps = np.empty((_BLOCK, cb, q))
+    acc = np.empty((nb, q))
+    for t0 in range(0, nb, cb):
+        t1 = min(nb, t0 + cb)
+        full = min(t1, k // _BLOCK)  # blocks of 32 rows in this chunk
+        chunk = steps[:, :t1 - t0]
+        chunk[:, :full - t0] = m[_BLOCK * t0:_BLOCK * full].reshape(
+            full - t0, _BLOCK, q).transpose(1, 0, 2)
+        if full < t1:  # slots past the end of M are left unset
+            chunk[:k - _BLOCK * full, -1] = m[_BLOCK * full:]
+        _block_adds(chunk, acc[t0:t1], k - _BLOCK * (t1 - 1))
+    return _carry_tree(acc.T)
 
 
 def cholesky(g) -> np.ndarray:
@@ -497,18 +530,27 @@ def trisolve_right(x, r) -> np.ndarray:
     terms subtracted in order of l: once column l is divided by r[l, l],
     one multiply and one subtract take its term off every later column.
     The columns are worked on as contiguous rows of a transposed chunk of
-    ``_TRI_ROWS`` rows of X.
+    ``_TRI_ROWS`` rows of X (:func:`_trisolve_into`).
     """
     x = as_matrix(x)
     r = as_matrix(r, "triangular factor")
     m, n = x.shape
     if r.shape != (n, n):
         raise DimensionError(f"factor shape {r.shape} does not match {x.shape}")
+    return _trisolve_into(x, r, np.empty((m, n)))
+
+
+def _trisolve_into(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`trisolve_right` written into ``w``, an m x n float64 array,
+    and returned; shapes are not checked.  ``qr._two_pass`` calls it to
+    put W and Q in one allocation.  ``trisolve_right`` keeps its
+    ``(x, r)`` signature, by which ``perfbench/spans.py`` counts its
+    calls."""
+    m, n = x.shape
     diag = np.diagonal(r)
     rows = min(m, _TRI_ROWS)
     wt = np.empty((n, rows))
     tmp = np.empty((n, rows))
-    w = np.empty((m, n))
     for c0 in range(0, m, rows):
         k = min(m, c0 + rows) - c0
         wk = wt[:, :k]

@@ -69,11 +69,20 @@ def _gram_factor(a, stage: str) -> np.ndarray:
 
 def _two_pass(x, a, stages: tuple[str, str]) -> QRResult:
     """Precondition X with the factor Y of A's Gram matrix, then run one
-    CholeskyQR pass on W = X Y^{-1}; R is the product of the two factors."""
+    CholeskyQR pass on W = X Y^{-1}; R is the product of the two factors.
+
+    W and Q are solved (``dense._trisolve_into``) into the two halves of
+    one (2, m, n) array, which Q keeps alive as a view.  Freed, that one
+    allocation raises glibc's mmap threshold above every m x n temporary
+    of a trial, so those reuse heap pages
+    (``tests/test_qr.py::test_trials_reuse_heap_pages``).
+    """
     y = _gram_factor(a, stages[0])
-    w = dense.trisolve_right(x, y)
+    wq = np.empty((2,) + x.shape)
+    w = dense._trisolve_into(x, y, wq[0])
     z = _gram_factor(w, stages[1])
-    return QRResult(dense.trisolve_right(w, z), np.triu(dense.matmul(z, y)))
+    q = dense._trisolve_into(w, z, wq[1])
+    return QRResult(q, np.triu(dense.matmul(z, y)))
 
 
 def cholesky_qr(x) -> QRResult:

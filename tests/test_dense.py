@@ -62,6 +62,18 @@ def test_matmul_chunking_keeps_bits(monkeypatch, p, k, q):
     assert _same_bits(dense.matmul(a, b), matmul_reference(a, b))
 
 
+def test_matmul_rows_past_the_copy_bound():
+    # two rows of over _COPY / 32 blocks: a chunk of rows is still one row
+    rng = np.random.default_rng(41)
+    k = dense._COPY + 3 * dense._BLOCK + 5
+    a = rng.standard_normal((2, k))
+    b = rng.standard_normal((k, 1))
+    got = dense.matmul(a, b)
+    for i in range(2):
+        assert _same_bits(got[i], dense.matmul(a[i:i + 1], b)[0])
+        assert _same_bits(got[i, 0], dense.fixed_sum(a[i] * b[:, 0]))
+
+
 def test_matmul_transposed_views():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((90, 6))
@@ -287,6 +299,15 @@ def test_trisolve_matches_column_replay():
         assert got.flags.c_contiguous
 
 
+def test_trisolve_into_a_view():
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((dense._TRI_ROWS + 7, 6))
+    r = np.triu(rng.standard_normal((6, 6))) + 2.0 * np.eye(6)
+    out = np.empty((2,) + x.shape)[1]
+    assert dense._trisolve_into(x, r, out) is out
+    assert _same_bits(out, dense.trisolve_right(x, r))
+
+
 def test_trisolve_matches_column_replay_on_t1():
     x = load_input(ExperimentConfig(generator=GeneratorSpec("t1", sigma=1e-4),
                                     algorithm=CHOLQR2))
@@ -346,6 +367,49 @@ def test_fixed_sum_is_matmul_against_ones():
         v = rng.standard_normal(k)
         want = dense.matmul(v[None, :], np.ones((k, 1)))[0, 0]
         assert _same_bits(dense.fixed_sum(v), want)
+
+
+def _summands(k, rng):
+    """k x 3 summands: spread magnitudes with signed zeros among them, all
+    -0.0, and signed zeros around values that cancel exactly."""
+    m = np.empty((k, 3))
+    m[:, 0] = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k)
+    m[rng.random(k) < 0.1, 0] = 0.0
+    m[rng.random(k) < 0.1, 0] = -0.0
+    m[:, 1] = -0.0
+    m[:, 2] = np.where(rng.random(k) < 0.5, 0.0, -0.0)
+    m[:k // 2 * 2:2, 2] = 1.5
+    m[1:k // 2 * 2:2, 2] = -1.5
+    return m
+
+
+def test_fixed_sums_match_scalar_replay():
+    # Lengths around one block, one block either side of a chunk of one
+    # column and of three, and 400007 = 12501 blocks, whose carry tree
+    # carries an odd partial at several levels.
+    rng = np.random.default_rng(43)
+    one, three = (dense._CHUNK // (dense._BLOCK * q) * dense._BLOCK for q in (1, 3))
+    for k in [1, 31, 32, 33, one - 32, one + 32, three - 32, three + 32, 400000, 400007]:
+        m = _summands(k, rng)
+        want = matmul_reference(np.ones((1, k)), m)[0]
+        assert np.signbit(want[1])
+        assert _same_bits(dense.fixed_sum_rows(m), want)
+        assert _same_bits(dense.fixed_sum_rows(m[:, :1]), want[:1])
+        for j in range(3):
+            assert _same_bits(dense.fixed_sum(m[:, j]), want[j])
+
+
+def test_fixed_sum_holds_a_chunk():
+    # a 512-KiB chunk of the step-major copy and 1/32 of the summands in
+    # block partials: under 1 MiB for 400000 summands
+    v = np.random.default_rng(44).standard_normal(400000)
+    tracemalloc.start()
+    try:
+        dense.fixed_sum(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * dense._CHUNK
 
 
 def test_fixed_sum_keeps_negative_zero():

@@ -1,5 +1,6 @@
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,10 +344,13 @@ def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2, q):
                     reason="pins glibc's dynamic mmap threshold")
 @pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (SR, 500, 0), (MR, 2800, 500)])
 def test_trials_reuse_heap_pages(alg, s1, s2):
-    # A one-row sum (fro_norm of the residual) frees a 16 MB step-major
-    # buffer, which raises glibc's mmap threshold, so later m x n
-    # temporaries reuse heap pages.  Sizing that buffer to its use cost
-    # about 3900 (cholqr2) and 6500 (mr) minor page faults per trial.
+    # W and Q share one (2, m, n) array in qr._two_pass, 6.4 MB here and
+    # the largest allocation of a cholqr2 trial.  Freeing it raises glibc's
+    # mmap threshold to its size and the trim threshold to twice that, so
+    # later m x n temporaries reuse heap pages.  sr's 8-MB Gaussian draw
+    # blocks raise both further.  mr run alone still takes about 2100 to
+    # 2700 faults per warm trial (its sketch stage outgrows the trim
+    # threshold); here it follows sr, whose blocks keep its pages.
     x = t1_dense(1e-4, q=1000)  # 20000 x 20
     config = ExperimentConfig(GeneratorSpec("t1", sigma=1e-4, block_count=1000),
                               alg, s1=s1, s2=s2, trials=1)
@@ -358,3 +362,25 @@ def test_trials_reuse_heap_pages(alg, s1, s2):
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert records[0].outcome == SUCCESS
         assert faults < 100
+
+
+# Ceilings on a warm trial's peak, metrics included (max of 20 trials
+# measured plus a margin).  cholqr2 measured 11.0 MiB; 25.4 before sums
+# stopped copying a row of ones into a 16-MB buffer.  sr and mr peak in
+# the Gaussian stage, where each of the two workers holds a drawn block
+# and its partials: sr 21.8 MiB, mr 23.8 MiB, each ceiling 1.2 MiB above.
+@pytest.mark.parametrize("alg, s1, s2, mib", [(CHOLQR2, 0, 0, 14), (SR, 500, 0, 23),
+                                              (MR, 2800, 500, 25)])
+def test_warm_trial_memory_is_bounded(alg, s1, s2, mib):
+    x = t1_dense(1e-4, q=1000)  # 20000 x 20
+    config = ExperimentConfig(GeneratorSpec("t1", sigma=1e-4, block_count=1000),
+                              alg, s1=s1, s2=s2, trials=1)
+    run_experiment(config, x=x)
+    tracemalloc.start()
+    try:
+        records, _ = run_experiment(config, x=x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records[0].outcome == SUCCESS
+    assert peak < mib * 2 ** 20
