@@ -23,9 +23,13 @@ size changes a bit of the result.
 A sum (``fixed_sum``, ``fixed_sum_rows``) forms no product: as a product
 with a row of ones it would multiply by 1.0, which is exact, so
 :func:`_block_adds` adds each block's 32 steps directly.  The summands
-are copied step-major one chunk of about 512 KiB at a time, and one
-carry tree merges the block partials, so a sum holds a chunk and 1/32 of
-its summands and has the bits of ``matmul(ones, M)``.
+are copied step-major one chunk of about 512 KiB at a time
+(:func:`_sum_partials`), and one carry tree merges the block partials,
+so a sum holds a chunk and 1/32 of its summands and has the bits of
+``matmul(ones, M)``.  The partials of a sum can also be taken from a
+stream of chunks of whole blocks (:func:`_fixed_sum_chunks`): the
+residual sums its squares a chunk of rows at a time and never holds all
+of them.
 
 Only the Gaussian sketch's apply, whose left operand is a block of drawn
 normals, packs its right operand (:func:`_reduce`).  Where the blocks
@@ -40,10 +44,11 @@ bits, with underflow, overflow and cancellation alike.  Only a zero sum
 can differ, in its sign, and those sums are recomputed step-major.
 
 The residual's product with an upper-triangular R,
-:func:`_matmul_upper`, follows R's triangle in the same order: step s
-forms products only for the columns j >= s, since the others would
-multiply R's structural zeros.  By the same argument, only the sign of a
-zero entry can differ from :func:`matmul`'s, and the residual squares it.
+:func:`_matmul_upper`, follows R's triangle in the same order, a chunk
+of rows at a time: step s forms products only for the columns j >= s,
+since the others would multiply R's structural zeros.  By the same
+argument, only the sign of a zero entry can differ from
+:func:`matmul`'s, and the residual squares it.
 
 ``gram`` runs the same steps on column pairs instead of rows times
 columns: column i is paired with column (i + d) mod n for d = 0..n//2, so
@@ -59,6 +64,7 @@ max(i, j)).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -229,15 +235,31 @@ def _block_sums(left, right, acc, tmp, last: int) -> None:
 
 
 def _block_adds(steps, acc, last: int) -> None:
-    """acc[t] = sum_s steps[s, t], s = 0..31 in order: the loop of
-    :func:`_block_sums` for a sum, without its products by 1.0, which are
-    exact.  Here the blocks are the first axis of ``acc``; ``last`` is as
-    in :func:`_block_sums`."""
+    """acc[..., t] = sum_s steps[s, ..., t], s = 0..31 in order: the loop
+    of :func:`_block_sums` for a sum, without its products by 1.0, which
+    are exact.  ``last`` is as in :func:`_block_sums`."""
     np.copyto(acc, steps[0])
     for s in range(1, _BLOCK):
         if s == last:  # the ragged last block has ended
-            steps, acc = steps[:, :-1], acc[:-1]
+            steps, acc = steps[..., :-1], acc[..., :-1]
         np.add(acc, steps[s], out=acc)
+
+
+def _sum_partials(m: np.ndarray, acc: np.ndarray) -> None:
+    """acc[j, t] = sum_s m[32 t + s, j], s = 0..31 in order: the block
+    partials of M's columns.  M is copied step-major (:func:`_step_major`)
+    one chunk of about ``_CHUNK`` entries (or one block) at a time, and
+    :func:`_block_adds` adds each chunk's 32 steps.  In memory the columns
+    are innermost, as in M."""
+    k, q = m.shape
+    nb = acc.shape[1]
+    cb = max(1, min(nb, _CHUNK // (_BLOCK * q)))
+    steps = np.empty((_BLOCK, cb, q)).transpose(0, 2, 1)
+    for t0 in range(0, nb, cb):
+        t1 = min(nb, t0 + cb)
+        chunk = steps[..., :t1 - t0]
+        _step_major(m.T, t0, t1, chunk)
+        _block_adds(chunk, acc[:, t0:t1], k - _BLOCK * (t1 - 1))
 
 
 @_small_buffers
@@ -428,31 +450,32 @@ def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
     """Column-wise deterministic sums of a 2-D array (axis 0), with the
     bits of ``matmul(ones, M)``.
 
-    Chunks of about ``_CHUNK`` entries (or one block) of M are copied
-    step-major, steps[s, t, j] = M[32 t + s, j], and :func:`_block_adds`
-    adds each chunk's 32 steps into the partials acc[block, column], which
-    one :func:`_carry_tree` merges.  Only the chunk and the partials, 1/32
-    of M, are held.  A column of no entries sums to +0.0, like
-    :func:`fixed_sum`.
+    :func:`_sum_partials` forms the block partials, 1/32 of M, and one
+    :func:`_carry_tree` merges them.  A column of no entries sums to +0.0,
+    like :func:`fixed_sum`.
     """
     m = np.asarray(m, dtype=np.float64)
     k, q = m.shape
     if k == 0 or q == 0:
         return np.zeros(q)
-    nb = -(-k // _BLOCK)
-    cb = max(1, min(nb, _CHUNK // (_BLOCK * q)))
-    steps = np.empty((_BLOCK, cb, q))
-    acc = np.empty((nb, q))
-    for t0 in range(0, nb, cb):
-        t1 = min(nb, t0 + cb)
-        full = min(t1, k // _BLOCK)  # blocks of 32 rows in this chunk
-        chunk = steps[:, :t1 - t0]
-        chunk[:, :full - t0] = m[_BLOCK * t0:_BLOCK * full].reshape(
-            full - t0, _BLOCK, q).transpose(1, 0, 2)
-        if full < t1:  # slots past the end of M are left unset
-            chunk[:k - _BLOCK * full, -1] = m[_BLOCK * full:]
-        _block_adds(chunk, acc[t0:t1], k - _BLOCK * (t1 - 1))
-    return _carry_tree(acc.T)
+    acc = np.empty((-(-k // _BLOCK), q)).T
+    _sum_partials(m, acc)
+    return _carry_tree(acc)
+
+
+def _fixed_sum_chunks(chunks, k: int) -> float:
+    """:func:`fixed_sum` of k entries that ``chunks`` yields in order, as
+    arrays of whole 32-entry blocks (the last may end a block early).
+    Only the block partials, 1/32 of the entries, are held between
+    chunks, so a caller need never hold the k entries at once."""
+    acc = np.empty((1, -(-k // _BLOCK)))
+    t0 = 0
+    for c in chunks:
+        c = c.reshape(-1, 1)
+        t1 = t0 + -(-len(c) // _BLOCK)
+        _sum_partials(c, acc[:, t0:t1])
+        t0 = t1
+    return float(_carry_tree(acc)[0])
 
 
 def cholesky(g) -> np.ndarray:
@@ -482,27 +505,32 @@ def cholesky(g) -> np.ndarray:
     return r
 
 
-def _matmul_upper(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A triu(R) under the fixed scheme, forming only the products with
-    R's upper triangle; the strictly lower part of ``r`` is never read.
+def _matmul_upper(a: np.ndarray, r: np.ndarray):
+    """Yield (c0, rows c0.. of A triu(R)) under the fixed scheme, forming
+    only the products with R's upper triangle; the strictly lower part of
+    ``r`` is never read.
 
     Works on transposed chunks of ``_TRI_ROWS`` rows of A (fewer where
-    the partials would pass ``_ACC`` entries).  Step s adds
-    a[:, s] r[s, j] to the partial of every column j >= s in block
-    s // 32, as one multiply and one add; the partials of a block start
-    at +0 for the columns left of it.  :func:`_carry_tree` merges them.
-    For a finite A, a skipped product is +-0, and adding +-0 returns a
-    nonzero sum exactly, so against ``matmul(a, np.triu(r))`` every
-    nonzero entry keeps its bits; a zero entry can differ in its sign.
-    ``qr.residual`` is the one caller.
+    the partials would pass ``_ACC`` entries), a multiple of
+    32 / gcd(n, 32) rows, so that every chunk but the last is whole
+    32-entry blocks of the flattened product.  Step s adds a[:, s] r[s, j]
+    to the partial of every column j >= s in block s // 32, as one
+    multiply and one add; the partials of a block start at +0 for the
+    columns left of it.  :func:`_carry_tree` merges them into one
+    C-ordered buffer, which each chunk overwrites.  For a finite A, a
+    skipped product is +-0, and adding +-0 returns a nonzero sum exactly,
+    so against ``matmul(a, np.triu(r))`` every nonzero entry keeps its
+    bits; a zero entry can differ in its sign.  ``qr.residual`` is the
+    one caller.
     """
     m, n = a.shape
     nb = -(-n // _BLOCK)
-    rows = max(1, min(m, _TRI_ROWS, _ACC // (nb * n)))
+    unit = _BLOCK // math.gcd(n, _BLOCK)
+    rows = min(m, max(unit, min(_TRI_ROWS, _ACC // (nb * n)) // unit * unit))
     at = np.empty((n, rows))
     acc = np.empty((nb, n, rows))
     tmp = np.empty((n, rows))
-    out = np.empty((m, n))
+    out = np.empty((rows, n))
     for c0 in range(0, m, rows):
         k = min(m, c0 + rows) - c0
         ak = at[:, :k]
@@ -517,8 +545,8 @@ def _matmul_upper(a: np.ndarray, r: np.ndarray) -> np.ndarray:
                 t = tmp[s:, :k]
                 np.multiply(ak[s], r[s, s:, None], out=t)
                 np.add(part, t, out=part)
-        out[c0:c0 + k] = _carry_tree(acc[:, :, :k].transpose(1, 2, 0)).T
-    return out
+        out[:k] = _carry_tree(acc[:, :, :k].transpose(1, 2, 0)).T
+        yield c0, out[:k]
 
 
 def trisolve_right(x, r) -> np.ndarray:

@@ -39,11 +39,12 @@ def residual(q, r, x) -> float:
     """||Q R - X||_F for an upper-triangular R.
 
     Only R's upper triangle is read, as in ``dense.trisolve_right``.  Q R
-    is formed from it alone (``dense._matmul_upper``) into one m x n
-    buffer, from which X is subtracted and which is squared in place.
-    For a finite Q this is ``fro_norm(matmul(q, np.triu(r)) - x)`` bit
-    for bit: the product's entries differ at most in the sign of a zero,
-    which the square drops.
+    is formed from it alone, a chunk of rows at a time
+    (``dense._matmul_upper``); X is subtracted from each chunk, which is
+    squared in place and summed into block partials, so no m x n array is
+    made.  For a finite Q this is ``fro_norm(matmul(q, np.triu(r)) - x)``
+    bit for bit: the product's entries differ at most in the sign of a
+    zero, which the square drops.
     """
     q = dense.as_matrix(q)
     x = dense.as_matrix(x)
@@ -53,10 +54,13 @@ def residual(q, r, x) -> float:
         raise DimensionError(f"Q shape {q.shape} does not match X shape {x.shape}")
     if r.shape != (n, n):
         raise DimensionError(f"R shape {r.shape} is not {n} x {n}")
-    d = dense._matmul_upper(q, r)
-    np.subtract(d, x, out=d)
-    np.multiply(d, d, out=d)
-    return float(np.sqrt(dense.fixed_sum(d)))
+
+    def squares():
+        for c0, d in dense._matmul_upper(q, r):
+            np.subtract(d, x[c0:c0 + len(d)], out=d)
+            yield np.multiply(d, d, out=d)
+
+    return float(np.sqrt(dense._fixed_sum_chunks(squares(), q.size)))
 
 
 def _gram_factor(a, stage: str) -> np.ndarray:
@@ -72,10 +76,13 @@ def _two_pass(x, a, stages: tuple[str, str]) -> QRResult:
     CholeskyQR pass on W = X Y^{-1}; R is the product of the two factors.
 
     W and Q are solved (``dense._trisolve_into``) into the two halves of
-    one (2, m, n) array, which Q keeps alive as a view.  Freed, that one
-    allocation raises glibc's mmap threshold above every m x n temporary
-    of a trial, so those reuse heap pages
-    (``tests/test_qr.py::test_trials_reuse_heap_pages``).
+    one (2, m, n) array, the largest allocation of a trial, and Q keeps
+    all of it alive as a view: a caller holding Q holds 2 m n floats.
+    Freed, the array raises glibc's mmap threshold to its size and the
+    trim threshold to twice that, so later trials reuse its heap pages
+    (``tests/test_qr.py::test_trials_reuse_heap_pages``).  With Q solved
+    in place over W, one m x n array, a trial's heap outgrows twice its
+    largest freed block and is trimmed and regrown every trial.
     """
     y = _gram_factor(a, stages[0])
     wq = np.empty((2,) + x.shape)

@@ -223,26 +223,43 @@ def _residual_reference(q, r, x):
 
 @pytest.mark.parametrize("n", [1, 5, 20, 32, 33, 40, 70])
 def test_residual_matches_replay(monkeypatch, n):
-    # A chunk of 16 rows, so 15, 16 and 17 rows cut the chunks.  Q and X
-    # hold exact zeros of both signs, R's upper triangle exact zeros and
-    # its lower triangle junk, which the residual must not read.  The
-    # product keeps the bits of every nonzero entry.
+    # A chunk of 16 rows, so 15, 16 and 17 rows cut the chunks; where 16
+    # rows are not whole 32-entry blocks (n = 1, 5, 33) a chunk is 32
+    # rows, which 65 rows cut twice.  Q and X hold exact zeros of both
+    # signs, R's upper triangle exact zeros and its lower triangle junk,
+    # which the residual must not read.  The product keeps the bits of
+    # every nonzero entry.
     monkeypatch.setattr(dense, "_TRI_ROWS", 16)
     rng = np.random.default_rng(n)
     r = rng.standard_normal((n, n))
     r[rng.random((n, n)) < 0.2] = 0.0
-    for m in [1, n, 15, 16, 17]:
+    for m in [1, n, 15, 16, 17, 65]:
         q, x = rng.standard_normal((2, m, n))
         q[rng.random((m, n)) < 0.2] = 0.0
         q[rng.random((m, n)) < 0.2] = -0.0
         x[rng.random((m, n)) < 0.2] = -0.0
         x[0] = 0.0
         want = matmul_reference(q, np.triu(r))
-        product = dense._matmul_upper(q, r)
+        product = np.concatenate([d.copy() for _, d in dense._matmul_upper(q, r)])
         nonzero = want != 0
         assert np.array_equal(product, want)  # -0 == +0
         assert product[nonzero].tobytes() == want[nonzero].tobytes()
         assert qr.residual(q, r, x).hex() == fro_norm(want - x).hex()
+
+
+def test_residual_holds_no_m_by_n_array():
+    # a chunk of rows of the product and the block partials of the
+    # squares: 3.5 MiB at 100000 x 20, where one m x n array is 15.3 MiB
+    rng = np.random.default_rng(22)
+    q, x = rng.standard_normal((2, 100000, 20))
+    r = np.triu(rng.standard_normal((20, 20)))
+    tracemalloc.start()
+    try:
+        qr.residual(q, r, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_residual_matches_replay_at_the_chunk_size():
@@ -345,12 +362,11 @@ def test_one_finiteness_scan_of_x_per_trial(monkeypatch, alg, s1, s2, q):
 @pytest.mark.parametrize("alg, s1, s2", [(CHOLQR2, 0, 0), (SR, 500, 0), (MR, 2800, 500)])
 def test_trials_reuse_heap_pages(alg, s1, s2):
     # W and Q share one (2, m, n) array in qr._two_pass, 6.4 MB here and
-    # the largest allocation of a cholqr2 trial.  Freeing it raises glibc's
-    # mmap threshold to its size and the trim threshold to twice that, so
-    # later m x n temporaries reuse heap pages.  sr's 8-MB Gaussian draw
-    # blocks raise both further.  mr run alone still takes about 2100 to
-    # 2700 faults per warm trial (its sketch stage outgrows the trim
-    # threshold); here it follows sr, whose blocks keep its pages.
+    # the largest allocation of a trial.  Freeing it raises glibc's mmap
+    # threshold to its size and the trim threshold to twice that, and
+    # every other allocation of a trial (a Gaussian draw block holds
+    # 2-4 MB) fits under the first, so later trials reuse heap pages.
+    # CI runs each case in a fresh interpreter, so none rests on another.
     x = t1_dense(1e-4, q=1000)  # 20000 x 20
     config = ExperimentConfig(GeneratorSpec("t1", sigma=1e-4, block_count=1000),
                               alg, s1=s1, s2=s2, trials=1)
@@ -364,13 +380,17 @@ def test_trials_reuse_heap_pages(alg, s1, s2):
         assert faults < 100
 
 
-# Ceilings on a warm trial's peak, metrics included (max of 20 trials
-# measured plus a margin).  cholqr2 measured 11.0 MiB; 25.4 before sums
-# stopped copying a row of ones into a 16-MB buffer.  sr and mr peak in
-# the Gaussian stage, where each of the two workers holds a drawn block
-# and its partials: sr 21.8 MiB, mr 23.8 MiB, each ceiling 1.2 MiB above.
-@pytest.mark.parametrize("alg, s1, s2, mib", [(CHOLQR2, 0, 0, 14), (SR, 500, 0, 23),
-                                              (MR, 2800, 500, 25)])
+# Ceilings on a warm trial's peak, metrics included: the largest
+# measured, 9.83, 9.91 and 12.79 MiB, plus about 1.1 MiB (mr read 11.79
+# in most trials and 12.79 in 2 of 140, where both workers held a block
+# and its partials at once).  With a 16-MB buffer for every one-row sum,
+# an m x n buffer for the residual and 8-MB Gaussian draw blocks, all
+# three read 25.45 MiB.  cholqr2 peaks in the Gram of W, while W and Q's
+# array and the Gram's partials are held; sr and mr peak in the Gaussian
+# stage, where each of the two workers holds a drawn block and its
+# partials.
+@pytest.mark.parametrize("alg, s1, s2, mib", [(CHOLQR2, 0, 0, 11), (SR, 500, 0, 11),
+                                              (MR, 2800, 500, 14)])
 def test_warm_trial_memory_is_bounded(alg, s1, s2, mib):
     x = t1_dense(1e-4, q=1000)  # 20000 x 20
     config = ExperimentConfig(GeneratorSpec("t1", sigma=1e-4, block_count=1000),
