@@ -141,19 +141,22 @@ class SketchParams:
             raise ParamError(f"need n <= s <= m, got s={self.s1}")
 
     def embedding(self) -> EmbeddingParams:
-        if self.mode == MR:
-            return combine_embedding(self.e1, self.p1, self.e2, self.p2)
-        if self.mode == SR:  # range-checked; adding a zero stage is exact
-            return combine_embedding(self.e1, self.p1, 0.0, 0.0)
-        return EmbeddingParams(0.0, 0.0, 0.0)
+        """The composed embedding, range-checked.  The stages that sr and
+        cholqr2 lack are zero, and combining a zero stage is exact."""
+        return combine_embedding(self.e1, self.p1, self.e2, self.p2)
 
 
-def _stage(params: SketchParams, m: int, u: float) -> tuple[float, int]:
-    """Sketching-stage coefficient and last sketch size: t and s2 for mr,
-    t1 and s for sr."""
+def _stage(params: SketchParams, m: int,
+           u: float) -> tuple[float, int, EmbeddingParams, float, float]:
+    """The sketched bounds' per-mode terms: the sketching-stage
+    coefficient and last sketch size (t and s2 for mr, t1 and s for sr),
+    the embedding, sqrt(1 - eps_s) and sqrt(1 + eps_b)."""
     if params.mode == MR:
-        return const_t(params.s1, params.s2, m, params.e1, u), params.s2
-    return const_t1(m, params.s1, u), params.s1
+        t, s_out = const_t(params.s1, params.s2, m, params.e1, u), params.s2
+    else:
+        t, s_out = const_t1(m, params.s1, u), params.s1
+    emb = params.embedding()
+    return t, s_out, emb, math.sqrt(1.0 - emb.eps_s), math.sqrt(1.0 + emb.eps_b)
 
 
 def kappa_limit(profile: sparse.SparsityProfile, params: SketchParams,
@@ -173,10 +176,7 @@ def kappa_limit(profile: sparse.SparsityProfile, params: SketchParams,
             k1 = 1.0 / (10.5 * eta * base * sw)
             return min(k1, k2)
         return k2
-    emb = params.embedding()
-    t, s_out = _stage(params, m, u)
-    root_s = math.sqrt(1.0 - emb.eps_s)
-    root_b = math.sqrt(1.0 + emb.eps_b)
+    t, s_out, emb, root_s, root_b = _stage(params, m, u)
     tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
     k = t * sw
     w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
@@ -207,11 +207,8 @@ def predicted_resid(profile: sparse.SparsityProfile, params: SketchParams,
         if profile.kind == sparse.T1:
             return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
         return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
-    emb = params.embedding()
-    t, _ = _stage(params, m, u)
+    t, _, emb, root_s, root_b = _stage(params, m, u)
     grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
-    root_s = math.sqrt(1.0 - emb.eps_s)
-    root_b = math.sqrt(1.0 + emb.eps_b)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
     tail = 1.34 * math.sqrt(1.0 + grow) / root_s
     if profile.kind == sparse.T1:
@@ -278,7 +275,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     }
     if sketched:
         a = const_a(emb.eps_s, emb.eps_b)
-        t, _ = _stage(params, m, u)
+        t = _stage(params, m, u)[0]
         k = t * sparse_weight(profile.v, profile.t1, profile.t2, n)
         constants.update(zip(CONSTANT_NAMES[algorithm],
                              (a, const_d(a, m, n, u), t, k)))

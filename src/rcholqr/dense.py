@@ -22,14 +22,13 @@ size changes a bit of the result.
 
 A sum (``fixed_sum``, ``fixed_sum_rows``) forms no product: as a product
 with a row of ones it would multiply by 1.0, which is exact, so
-:func:`_block_adds` adds each block's 32 steps directly.  The summands
-are copied step-major one chunk of about 512 KiB at a time
-(:func:`_sum_partials`), and one carry tree merges the block partials,
-so a sum holds a chunk and 1/32 of its summands and has the bits of
-``matmul(ones, M)``.  The partials of a sum can also be taken from a
-stream of chunks of whole blocks (:func:`_fixed_sum_chunks`): the
-residual sums its squares a chunk of rows at a time and never holds all
-of them.
+:func:`_block_adds` adds each block's 32 steps directly.  One driver,
+:func:`_fixed_sum_chunks`, runs every sum: it takes the summands as a
+stream of chunks of whole blocks (one chunk for ``fixed_sum_rows``; a
+chunk of rows at a time for the residual, which never holds all its
+squares), copies each step-major about 512 KiB at a time, and merges
+the block partials by one carry tree.  So a sum holds a chunk and 1/32
+of its summands and has the bits of ``matmul(ones, M)``.
 
 Only the Gaussian sketch's apply, whose left operand is a block of drawn
 normals, packs its right operand (:func:`_reduce`).  Where the blocks
@@ -45,7 +44,8 @@ can differ, in its sign, and those sums are recomputed step-major.
 
 The residual's product with an upper-triangular R,
 :func:`_matmul_upper`, follows R's triangle in the same order, a chunk
-of rows at a time: step s forms products only for the columns j >= s,
+of rows at a time (:func:`_transposed_rows`, the walk it shares with the
+triangular solve): step s forms products only for the columns j >= s,
 since the others would multiply R's structural zeros.  By the same
 argument, only the sign of a zero entry can differ from
 :func:`matmul`'s, and the residual squares it.
@@ -245,23 +245,6 @@ def _block_adds(steps, acc, last: int) -> None:
         np.add(acc, steps[s], out=acc)
 
 
-def _sum_partials(m: np.ndarray, acc: np.ndarray) -> None:
-    """acc[j, t] = sum_s m[32 t + s, j], s = 0..31 in order: the block
-    partials of M's columns.  M is copied step-major (:func:`_step_major`)
-    one chunk of about ``_CHUNK`` entries (or one block) at a time, and
-    :func:`_block_adds` adds each chunk's 32 steps.  In memory the columns
-    are innermost, as in M."""
-    k, q = m.shape
-    nb = acc.shape[1]
-    cb = max(1, min(nb, _CHUNK // (_BLOCK * q)))
-    steps = np.empty((_BLOCK, cb, q)).transpose(0, 2, 1)
-    for t0 in range(0, nb, cb):
-        t1 = min(nb, t0 + cb)
-        chunk = steps[..., :t1 - t0]
-        _step_major(m.T, t0, t1, chunk)
-        _block_adds(chunk, acc[:, t0:t1], k - _BLOCK * (t1 - 1))
-
-
 @_small_buffers
 def _reduce_steps(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
     """sum_l a[:, l] b[l, :] for ``bs = _steps(b)``: the step-major kernel.
@@ -448,34 +431,41 @@ def fixed_sum(v) -> float:
 
 def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
     """Column-wise deterministic sums of a 2-D array (axis 0), with the
-    bits of ``matmul(ones, M)``.
-
-    :func:`_sum_partials` forms the block partials, 1/32 of M, and one
-    :func:`_carry_tree` merges them.  A column of no entries sums to +0.0,
-    like :func:`fixed_sum`.
+    bits of ``matmul(ones, M)``: :func:`_fixed_sum_chunks` of M as one
+    chunk.  A column of no entries sums to +0.0, like :func:`fixed_sum`.
     """
     m = np.asarray(m, dtype=np.float64)
-    k, q = m.shape
+    return _fixed_sum_chunks((m,), *m.shape)
+
+
+def _fixed_sum_chunks(chunks, k: int, q: int) -> np.ndarray:
+    """:func:`fixed_sum_rows` of the k x q array whose rows ``chunks``
+    yields in order, as arrays of whole 32-row blocks (the last may end a
+    block early): the one sum driver.
+
+    Each chunk is copied step-major (:func:`_step_major`) about
+    ``_CHUNK`` entries (or one block) at a time, with the columns
+    innermost as in M, and :func:`_block_adds` adds the steps into the
+    block partials, 1/32 of the entries; one :func:`_carry_tree` merges
+    them.  So a caller need never hold the k rows at once.
+    """
     if k == 0 or q == 0:
         return np.zeros(q)
-    acc = np.empty((-(-k // _BLOCK), q)).T
-    _sum_partials(m, acc)
-    return _carry_tree(acc)
-
-
-def _fixed_sum_chunks(chunks, k: int) -> float:
-    """:func:`fixed_sum` of k entries that ``chunks`` yields in order, as
-    arrays of whole 32-entry blocks (the last may end a block early).
-    Only the block partials, 1/32 of the entries, are held between
-    chunks, so a caller need never hold the k entries at once."""
-    acc = np.empty((1, -(-k // _BLOCK)))
-    t0 = 0
+    nb = -(-k // _BLOCK)
+    acc = np.empty((nb, q)).T
+    cb = max(1, min(nb, _CHUNK // (_BLOCK * q)))
+    steps = np.empty((_BLOCK, cb, q)).transpose(0, 2, 1)
+    b0 = 0  # the chunk's first block
     for c in chunks:
-        c = c.reshape(-1, 1)
-        t1 = t0 + -(-len(c) // _BLOCK)
-        _sum_partials(c, acc[:, t0:t1])
-        t0 = t1
-    return float(_carry_tree(acc)[0])
+        rows = len(c)
+        cnb = -(-rows // _BLOCK)
+        for t0 in range(0, cnb, cb):
+            t1 = min(cnb, t0 + cb)
+            part = steps[..., :t1 - t0]
+            _step_major(c.T, t0, t1, part)
+            _block_adds(part, acc[:, b0 + t0:b0 + t1], rows - _BLOCK * (t1 - 1))
+        b0 += cnb
+    return _carry_tree(acc)
 
 
 def cholesky(g) -> np.ndarray:
@@ -505,18 +495,31 @@ def cholesky(g) -> np.ndarray:
     return r
 
 
+def _transposed_rows(a: np.ndarray, rows: int):
+    """Yield (c0, a[c0:c0 + k].T) for chunks of ``rows`` rows of A, each
+    copied into one (n, rows) buffer that the next chunk overwrites: the
+    triangular kernels' one walk over A, whose columns it makes
+    contiguous rows."""
+    m, n = a.shape
+    buf = np.empty((n, rows))
+    for c0 in range(0, m, rows):
+        at = buf[:, :min(m, c0 + rows) - c0]
+        np.copyto(at, a[c0:c0 + rows].T)
+        yield c0, at
+
+
 def _matmul_upper(a: np.ndarray, r: np.ndarray):
     """Yield (c0, rows c0.. of A triu(R)) under the fixed scheme, forming
     only the products with R's upper triangle; the strictly lower part of
     ``r`` is never read.
 
-    Works on transposed chunks of ``_TRI_ROWS`` rows of A (fewer where
-    the partials would pass ``_ACC`` entries), a multiple of
-    32 / gcd(n, 32) rows, so that every chunk but the last is whole
-    32-entry blocks of the flattened product.  Step s adds a[:, s] r[s, j]
-    to the partial of every column j >= s in block s // 32, as one
-    multiply and one add; the partials of a block start at +0 for the
-    columns left of it.  :func:`_carry_tree` merges them into one
+    Walks A in transposed chunks (:func:`_transposed_rows`) of
+    ``_TRI_ROWS`` rows (fewer where the partials would pass ``_ACC``
+    entries), a multiple of 32 / gcd(n, 32) rows, so that every chunk but
+    the last is whole 32-entry blocks of the flattened product.  Step s
+    adds a[:, s] r[s, j] to the partial of every column j >= s in block
+    s // 32, as one multiply and one add; the partials of a block start at
+    +0 for the columns left of it.  :func:`_carry_tree` merges them into one
     C-ordered buffer, which each chunk overwrites.  For a finite A, a
     skipped product is +-0, and adding +-0 returns a nonzero sum exactly,
     so against ``matmul(a, np.triu(r))`` every nonzero entry keeps its
@@ -527,14 +530,11 @@ def _matmul_upper(a: np.ndarray, r: np.ndarray):
     nb = -(-n // _BLOCK)
     unit = _BLOCK // math.gcd(n, _BLOCK)
     rows = min(m, max(unit, min(_TRI_ROWS, _ACC // (nb * n)) // unit * unit))
-    at = np.empty((n, rows))
     acc = np.empty((nb, n, rows))
     tmp = np.empty((n, rows))
     out = np.empty((rows, n))
-    for c0 in range(0, m, rows):
-        k = min(m, c0 + rows) - c0
-        ak = at[:, :k]
-        np.copyto(ak, a[c0:c0 + k].T)
+    for c0, ak in _transposed_rows(a, rows):
+        k = ak.shape[1]
         for s in range(n):
             b, step = divmod(s, _BLOCK)
             part = acc[b, s:, :k]
@@ -558,7 +558,8 @@ def trisolve_right(x, r) -> np.ndarray:
     terms subtracted in order of l: once column l is divided by r[l, l],
     one multiply and one subtract take its term off every later column.
     The columns are worked on as contiguous rows of a transposed chunk of
-    ``_TRI_ROWS`` rows of X (:func:`_trisolve_into`).
+    ``_TRI_ROWS`` rows of X (:func:`_transposed_rows`, in
+    :func:`_trisolve_into`).
     """
     x = as_matrix(x)
     r = as_matrix(r, "triangular factor")
@@ -577,12 +578,9 @@ def _trisolve_into(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     m, n = x.shape
     diag = np.diagonal(r)
     rows = min(m, _TRI_ROWS)
-    wt = np.empty((n, rows))
     tmp = np.empty((n, rows))
-    for c0 in range(0, m, rows):
-        k = min(m, c0 + rows) - c0
-        wk = wt[:, :k]
-        np.copyto(wk, x[c0:c0 + k].T)
+    for c0, wk in _transposed_rows(x, rows):
+        k = wk.shape[1]
         for j in range(n):
             np.divide(wk[j], diag[j], out=wk[j])
             t = tmp[j + 1:, :k]

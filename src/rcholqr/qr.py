@@ -58,9 +58,9 @@ def residual(q, r, x) -> float:
     def squares():
         for c0, d in dense._matmul_upper(q, r):
             np.subtract(d, x[c0:c0 + len(d)], out=d)
-            yield np.multiply(d, d, out=d)
+            yield np.multiply(d, d, out=d).reshape(-1, 1)
 
-    return float(np.sqrt(dense._fixed_sum_chunks(squares(), q.size)))
+    return float(np.sqrt(dense._fixed_sum_chunks(squares(), q.size, 1)[0]))
 
 
 def _gram_factor(a, stage: str) -> np.ndarray:
@@ -90,13 +90,6 @@ def _two_pass(x, a, stages: tuple[str, str]) -> QRResult:
     z = _gram_factor(w, stages[1])
     q = dense._trisolve_into(w, z, wq[1])
     return QRResult(q, np.triu(dense.matmul(z, y)))
-
-
-def cholesky_qr(x) -> QRResult:
-    """Single-pass factorization; orthogonality degrades like kappa^2 u."""
-    x = dense.finite_matrix(x)
-    r = _gram_factor(x, "first-cholesky")
-    return QRResult(dense.trisolve_right(x, r), np.triu(r))
 
 
 def cholesky_qr2(x) -> QRResult:

@@ -330,7 +330,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     """Empirical frequency of the two-sided norm-preservation inequality.
 
     Draws ``trials`` random coefficient vectors c, forms vectors X c from the
-    column space of ``x``, and counts how often
+    column space of a dense ``x``, and counts how often
     sqrt(1 - eps_lo) ||Xc|| <= ||Op Xc|| <= sqrt(1 + eps_hi) ||Xc||.
     ``eps`` is a scalar, or a composed sketch's EmbeddingParams (eps_s, eps_b).
     eps_lo must lie in [0, 1] and eps_hi must be non-negative; eps_hi > 1
@@ -344,8 +344,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
         lo = hi = float(eps)
     if not (0.0 <= lo <= 1.0 and hi >= 0.0):
         raise ParamError(f"need 0 <= eps_lo <= 1 and eps_hi >= 0, got ({lo}, {hi})")
-    x = (sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix)
-         else dense.finite_matrix(x))
+    x = dense.finite_matrix(x)
     rng = _philox(seed)
     coeff = rng.standard_normal((x.shape[1], trials))
     vectors = dense.matmul(x, coeff)

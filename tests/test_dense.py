@@ -399,6 +399,24 @@ def test_fixed_sums_match_scalar_replay():
             assert _same_bits(dense.fixed_sum(m[:, j]), want[j])
 
 
+def test_streamed_column_sums_match_scalar_replay():
+    # The residual's driver: the rows of M arrive in uneven chunks of whole
+    # 32-row blocks, the last one short.  Lengths around one block, around
+    # one three-column chunk, and 400007.
+    rng = np.random.default_rng(45)
+    three = dense._CHUNK // (dense._BLOCK * 3) * dense._BLOCK
+    for k in [31, 32, 33, 65, three - 1, three + 33, 400007]:
+        m = _summands(k, rng)
+        cuts, r = [0], 0
+        while r < k:
+            r = min(k, r + dense._BLOCK * int(rng.integers(1, 1500)))
+            cuts.append(r)
+        chunks = [m[a:b] for a, b in zip(cuts, cuts[1:])]
+        got = dense._fixed_sum_chunks(iter(chunks), k, 3)
+        assert _same_bits(got, matmul_reference(np.ones((1, k)), m)[0])
+        assert _same_bits(got, dense.fixed_sum_rows(m))
+
+
 def test_fixed_sum_holds_a_chunk():
     # a 512-KiB chunk of the step-major copy and 1/32 of the summands in
     # block partials: under 1 MiB for 400000 summands

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rcholqr import norms, sparse
+from rcholqr import norms
 from rcholqr.bounds import CHOLQR2, SketchParams, build_bound_report
 
 
@@ -20,13 +20,6 @@ def test_g_norm_examples():
     assert norms.g_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0), rel=1e-15)
     assert norms.g_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == pytest.approx(
         5.0 * np.sqrt(2.0), rel=1e-15)
-
-
-def test_norms_accept_csr():
-    d = np.array([[3.0, 0.0], [4.0, 0.0]])
-    s = sparse.from_dense(d)
-    assert norms.g_bracket(s) == norms.g_bracket(d)
-    assert norms.fro_norm(s) == norms.fro_norm(d)
 
 
 def test_eta_j_examples():

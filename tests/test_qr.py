@@ -20,15 +20,22 @@ def t1_dense(sigma, q=200):
     return sparse.to_dense(make_t1(GeneratorSpec("t1", sigma=sigma, block_count=q)))
 
 
+def single_pass(x):
+    """One CholeskyQR pass from the dense kernels: R from X's Gram matrix,
+    Q = X R^{-1}."""
+    r = dense.cholesky(dense.gram(x))
+    return qr.QRResult(dense.trisolve_right(x, r), r)
+
+
 def test_cholesky_qr_identity():
-    res = qr.cholesky_qr(np.eye(4))
+    res = single_pass(np.eye(4))
     assert np.array_equal(res.q, np.eye(4))
     assert np.array_equal(res.r, np.eye(4))
     assert qr.orthogonality(res.q) == 0.0
 
 
 def test_cholesky_qr_column():
-    res = qr.cholesky_qr(np.array([[3.0], [4.0]]))
+    res = single_pass(np.array([[3.0], [4.0]]))
     assert res.r[0, 0] == pytest.approx(5.0, rel=1e-15)
     assert np.allclose(res.q.ravel(), [0.6, 0.8], rtol=1e-14, atol=0)
 
@@ -40,7 +47,7 @@ def test_single_pass_orthogonality_tracks_condition():
                                  block_count=400, seed=2))
     m, n = x.shape
     kappa = np.linalg.cond(x)
-    single = qr.orthogonality(qr.cholesky_qr(x).q)
+    single = qr.orthogonality(single_pass(x).q)
     assert single > 100 * U
     assert single <= 5 * kappa * kappa * (m * n * U + n * (n + 1) * U)
     double = qr.orthogonality(qr.cholesky_qr2(x).q)
@@ -302,7 +309,6 @@ SPEC = GeneratorSpec("t1", sigma=1e-4, block_count=10)  # 200 x 20
 
 # every public way in for a dense X, as (id, call on X)
 ENTRY_POINTS = [
-    ("cholesky_qr", qr.cholesky_qr),
     ("cholesky_qr2", qr.cholesky_qr2),
     ("sr", lambda x: qr.sr_cholesky_qr2(x, sketch.build_gaussian(40, 200, 1))),
     ("mr", lambda x: qr.mr_cholesky_qr2(
