@@ -22,7 +22,7 @@ size changes a bit of the result.
 
 A sum (``fixed_sum``, ``fixed_sum_rows``) forms no product: as a product
 with a row of ones it would multiply by 1.0, which is exact, so
-:func:`_block_adds` adds each block's 32 steps directly.  One driver,
+:func:`_block_adds` adds each block's 32 steps directly.  One function,
 :func:`_fixed_sum_chunks`, runs every sum: it takes the summands as a
 stream of chunks of whole blocks (one chunk for ``fixed_sum_rows``; a
 chunk of rows at a time for the residual, which never holds all its
@@ -441,7 +441,7 @@ def fixed_sum_rows(m: np.ndarray) -> np.ndarray:
 def _fixed_sum_chunks(chunks, k: int, q: int) -> np.ndarray:
     """:func:`fixed_sum_rows` of the k x q array whose rows ``chunks``
     yields in order, as arrays of whole 32-row blocks (the last may end a
-    block early): the one sum driver.
+    block early): the one loop that every sum runs.
 
     Each chunk is copied step-major (:func:`_step_major`) about
     ``_CHUNK`` entries (or one block) at a time, with the columns

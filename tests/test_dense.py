@@ -400,9 +400,9 @@ def test_fixed_sums_match_scalar_replay():
 
 
 def test_streamed_column_sums_match_scalar_replay():
-    # The residual's driver: the rows of M arrive in uneven chunks of whole
-    # 32-row blocks, the last one short.  Lengths around one block, around
-    # one three-column chunk, and 400007.
+    # As the residual streams its squares: the rows of M arrive in uneven
+    # chunks of whole 32-row blocks, the last one short.  Lengths around one
+    # block, around one three-column chunk, and 400007.
     rng = np.random.default_rng(45)
     three = dense._CHUNK // (dense._BLOCK * 3) * dense._BLOCK
     for k in [31, 32, 33, 65, three - 1, three + 33, 400007]:
