@@ -242,16 +242,13 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     """Profile a matrix and evaluate every condition and bound for one run."""
     if algorithm != params.mode:
         raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
-    if isinstance(x, sparse.CSRMatrix):
-        csr = x
-        xd = sparse.to_dense(x)
-    else:
-        xd = dense.finite_matrix(x)
-        csr = sparse.from_dense(xd)
+    # the one conversion: a CSR's values were checked when it was made
+    xd = (sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix)
+          else dense.finite_matrix(x))
     m, n = xd.shape
     sketched = algorithm != CHOLQR2
     params.check(m, n)
-    profile = sparse.profile_sparsity(csr, dense_fraction)
+    profile = sparse.profile_sparsity(xd, dense_fraction)
     size_ok = check_size(m, n, u)
     emb = params.embedding()
     assumption_ok = not sketched or check_assumption_multi(

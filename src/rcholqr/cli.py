@@ -30,12 +30,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """Type of the seed flags: an integer >= 0, as a Philox key must be."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {seed}")
+    return seed
+
+
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=generators.FAMILIES, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--blocks", type=int, default=1000, help="stacked block count")
     p.add_argument("--block-size", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0, help="dense-family seed")
+    p.add_argument("--seed", type=_seed, default=0, help="dense-family seed")
 
 
 def _spec_from_args(args) -> generators.GeneratorSpec:
@@ -53,12 +61,13 @@ def _add_alg_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
+    unread = "failure prob; range-checked only, no bound or report reads it"
     p.add_argument("--eps1", type=float, default=0.5)
-    p.add_argument("--p1", type=float, default=0.6)
+    p.add_argument("--p1", type=float, default=0.6, help=unread)
     p.add_argument("--eps2", type=float, default=0.5)
-    p.add_argument("--p2", type=float, default=0.4)
+    p.add_argument("--p2", type=float, default=0.4, help=unread)
     p.add_argument("--eps", type=float, default=0.5, help="single-sketch epsilon")
-    p.add_argument("--p", type=float, default=0.6, help="single-sketch failure prob")
+    p.add_argument("--p", type=float, default=0.6, help=unread)
 
 
 def _sketch_params(args) -> bounds.SketchParams:
@@ -88,7 +97,7 @@ def build_parser() -> _Parser:
                        help="factorize a Matrix Market file")
     p.add_argument("--in", dest="infile", required=True)
     _add_alg_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-q", dest="out_q")
     p.add_argument("--out-r", dest="out_r")
 
@@ -97,7 +106,7 @@ def build_parser() -> _Parser:
     _add_generator_flags(p)
     _add_alg_flags(p)
     p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--master-seed", dest="master_seed", type=int, default=0)
+    p.add_argument("--master-seed", dest="master_seed", type=_seed, default=0)
     p.add_argument("--threshold", type=float, default=1e-12,
                    help="success orthogonality threshold")
     p.add_argument("--csv", required=True)
@@ -119,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s2", type=int, default=0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -593,9 +593,10 @@ def _trisolve_into(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
 def sym_eigenvalues(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi.
 
-    ``s`` must be symmetric, as :func:`gram` makes it exactly.  Sweeps
-    run until the off-diagonal Frobenius mass drops below
-    1e-14 * ||S||_F, or for at most 100 sweeps.
+    ``s`` must be symmetric, as :func:`gram` makes it exactly.  Sweeps run
+    until ``sum(a*a) - sum(diag(a)**2) <= (1e-14 ||S||_F)^2``, or 100 times.
+    That difference resolves only about u ||S||_F^2, so sweeping can stop
+    early, or never and run all 100 (ROADMAP item 1).
     """
     s = as_matrix(s, "symmetric matrix")
     n = s.shape[0]

@@ -1,4 +1,9 @@
-"""CSR sparse matrices, the dense-column profiler, and Matrix Market I/O."""
+"""CSR sparse matrices, Matrix Market I/O, and the dense-column profiler.
+
+Sparse input arrives as CSR, its values checked when it is made; code
+that computes on X densifies it once (``to_dense``), and
+``profile_sparsity`` reads the paper's sparse model off that dense X.
+"""
 
 from __future__ import annotations
 
@@ -89,31 +94,22 @@ class SparsityProfile:
     t1: int
     t2: int
     c: float
-    kind: str = T2
+    kind: str
 
 
-def profile_sparsity(x: CSRMatrix, dense_fraction: float = 0.25) -> SparsityProfile:
-    """Classify columns by nonzero count against dense_fraction * rows."""
+def profile_sparsity(x: np.ndarray, dense_fraction: float = 0.25) -> SparsityProfile:
+    """Classify dense X's columns by nonzero count against dense_fraction * rows."""
     if not 0.0 < dense_fraction <= 1.0:
         raise ParamError("dense_fraction must lie in (0, 1]")
-    live = x.values != 0.0
-    counts = np.bincount(x.col_idx[live], minlength=x.cols)
-    threshold = dense_fraction * x.rows
-    dense_mask = counts >= threshold
+    rows, cols = x.shape
+    counts = np.count_nonzero(x, axis=0)
+    dense_mask = counts >= dense_fraction * rows
     v = int(dense_mask.sum())
     t1 = int(counts[dense_mask].max()) if v else 0
-    t2 = int(counts[~dense_mask].max()) if v < x.cols else 0
-    c = max_abs(x)
-    if v == x.cols:
-        kind = DENSE
-    elif v > 0:
-        kind = T1
-    else:
-        kind = T2
-    return SparsityProfile(
-        v=v, t1=t1, t2=t2, c=c,
-        kind=kind,
-    )
+    t2 = int(counts[~dense_mask].max()) if v < cols else 0
+    c = max(float(x.max()), -float(x.min()))  # |X|'s largest, no |X| formed
+    kind = DENSE if v == cols else T1 if v else T2
+    return SparsityProfile(v=v, t1=t1, t2=t2, c=c, kind=kind)
 
 
 def to_dense(s: CSRMatrix) -> np.ndarray:
@@ -138,11 +134,6 @@ def from_dense(d) -> CSRMatrix:
     row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])
     return CSRMatrix(d.shape[0], d.shape[1], row_ptr, cols, d[keep])
-
-
-def max_abs(s: CSRMatrix) -> float:
-    """Largest entry magnitude."""
-    return float(np.max(np.abs(s.values))) if s.nnz else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,25 @@ def test_cli_unknown_flag_exits_one(capsys):
 def test_cli_missing_file_exits_one(capsys):
     assert main(["factorize", "--in", "/nonexistent/x.mtx", "--alg", "cholqr2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "--family", "dense", "--sigma", "0.5", "--out", "x.mtx",
+      "--seed", "-2"], "--seed"),
+    (["factorize", "--in", "x.mtx", "--alg", "sr", "--s", "30",
+      "--seed", "-1"], "--seed"),
+    (["bench", "--family", "t1", "--sigma", "0.5", "--alg", "mr",
+      "--csv", "x.csv", "--master-seed", "-3"], "--master-seed"),
+    (["verify-sketch", "--kind", "gauss", "--m", "100", "--s1", "30",
+      "--eps", "0.5", "--seed", "-1"], "--seed"),
+])
+def test_cli_negative_seed_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
+    # a seed keys Philox, directly or through mix_seed; each command rejects
+    # a negative one before it runs
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert f"argument {flag}: need an integer >= 0, got -" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rcholqr import bounds, dense, norms, sparse
+from rcholqr import bench, bounds, dense, norms, sparse
 from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams
 from rcholqr.errors import AssumptionViolated, ParamError, RankDeficient
-from rcholqr.generators import GeneratorSpec, make_t1
+from rcholqr.generators import GeneratorSpec, generate, make_t1
 from rcholqr.sparse import SparsityProfile
 
 EXP_MULTI = SketchParams.multi(0.5, 0.6, 0.5, 0.4, 2800, 500)
@@ -187,6 +187,24 @@ def test_build_bound_report_t1():
         assert key in report.constants
     assert report.constants["k"] == report.constants["t"] * math.sqrt(
         1 * 20000 + 20 * 2000)
+
+
+@pytest.mark.parametrize("family", ["t1", "t2", "dense"])
+@pytest.mark.parametrize("alg,params", [
+    (CHOLQR2, NO_SKETCH),
+    (SR, SketchParams.single(0.5, 0.6, 100)),
+    (MR, SketchParams.multi(0.5, 0.6, 0.5, 0.4, 700, 100))])
+def test_build_bound_report_same_json_from_csr_and_array(tmp_path, family, alg,
+                                                         params):
+    # a CSR and the same matrix as an ndarray are profiled from one dense X
+    made = generate(GeneratorSpec(family, sigma=1e-4, block_count=100, seed=3))
+    x = made if family == "dense" else sparse.to_dense(made)
+    texts = []
+    for i, form in enumerate((sparse.from_dense(x), x)):
+        bench.emit_json(bounds.build_bound_report(form, alg, params),
+                        tmp_path / f"{i}.json")
+        texts.append((tmp_path / f"{i}.json").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_build_bound_report_admissible_implication():

@@ -56,9 +56,9 @@ def test_t2_requires_eleven_rows():
 
 
 def test_family_classification():
-    t1 = make_t1(GeneratorSpec("t1", sigma=1e-4, block_count=50))
+    t1 = to_dense(make_t1(GeneratorSpec("t1", sigma=1e-4, block_count=50)))
     assert profile_sparsity(t1).kind == sparse.T1
-    t2 = make_t2(GeneratorSpec("t2", sigma=1e-4, block_count=50))
+    t2 = to_dense(make_t2(GeneratorSpec("t2", sigma=1e-4, block_count=50)))
     assert profile_sparsity(t2).kind == sparse.T2
 
 

@@ -11,10 +11,6 @@ from rcholqr.errors import DimensionError, ParamError, ParseError
 from rcholqr.generators import GeneratorSpec, generate, make_t1, make_t2
 
 
-def csr(dense_rows):
-    return sparse.from_dense(np.array(dense_rows, dtype=float))
-
-
 def test_csr_validation():
     with pytest.raises(DimensionError):
         sparse.CSRMatrix(2, 2, np.array([0, 1, 1]), np.array([5]), np.array([1.0]))
@@ -25,15 +21,13 @@ def test_csr_validation():
 
 
 def test_profile_all_zero():
-    z = sparse.CSRMatrix(10, 3, np.zeros(11, dtype=int), np.array([], dtype=int),
-                         np.array([]))
-    prof = sparse.profile_sparsity(z)
+    prof = sparse.profile_sparsity(np.zeros((10, 3)))
     assert (prof.v, prof.t1, prof.t2, prof.c) == (0, 0, 0, 0.0)
     assert prof.kind == sparse.T2
 
 
 def test_profile_arrowhead_stack():
-    x = make_t1(GeneratorSpec("t1", sigma=1e-4))
+    x = sparse.to_dense(make_t1(GeneratorSpec("t1", sigma=1e-4)))
     prof = sparse.profile_sparsity(x)
     assert prof.v == 1
     assert prof.t1 == 20000 and prof.t2 == 2000
@@ -42,7 +36,7 @@ def test_profile_arrowhead_stack():
 
 
 def test_profile_t2_stack():
-    x = make_t2(GeneratorSpec("t2", sigma=1e-4))
+    x = sparse.to_dense(make_t2(GeneratorSpec("t2", sigma=1e-4)))
     prof = sparse.profile_sparsity(x)
     assert prof.v == 0 and prof.kind == sparse.T2
     assert prof.t2 == 3000
@@ -51,28 +45,27 @@ def test_profile_t2_stack():
 def test_profile_row_permutation_invariant():
     rng = np.random.default_rng(0)
     d = (rng.random((30, 4)) < 0.3) * rng.standard_normal((30, 4))
-    a = sparse.from_dense(d)
-    b = sparse.from_dense(d[rng.permutation(30)])
-    pa, pb = sparse.profile_sparsity(a), sparse.profile_sparsity(b)
+    pa = sparse.profile_sparsity(d)
+    pb = sparse.profile_sparsity(d[rng.permutation(30)])
     assert (pa.v, pa.t1, pa.t2, pa.c, pa.kind) == (pb.v, pb.t1, pb.t2, pb.c, pb.kind)
 
 
 def test_profile_scale_invariant_class():
     d = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
-    a = sparse.profile_sparsity(sparse.from_dense(d), dense_fraction=0.9)
-    b = sparse.profile_sparsity(sparse.from_dense(-2.5 * d), dense_fraction=0.9)
+    a = sparse.profile_sparsity(d, dense_fraction=0.9)
+    b = sparse.profile_sparsity(-2.5 * d, dense_fraction=0.9)
     assert a.kind == b.kind
     assert b.c == 2.5 * a.c
 
 
 def test_profile_dense_class():
-    prof = sparse.profile_sparsity(csr(np.ones((4, 3))))
+    prof = sparse.profile_sparsity(np.ones((4, 3)))
     assert prof.kind == sparse.DENSE and prof.v == 3
 
 
 def test_profile_bad_fraction():
     with pytest.raises(ParamError):
-        sparse.profile_sparsity(csr(np.ones((2, 2))), dense_fraction=0.0)
+        sparse.profile_sparsity(np.ones((2, 2)), dense_fraction=0.0)
 
 
 def test_round_trip_exact():
@@ -364,8 +357,3 @@ def test_matrix_market_reads_a_pipe(scan_calls):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert len(scan_calls) == 1
-
-
-def test_max_abs():
-    s = csr(np.diag([1.0, -3.0, 2.0]))
-    assert sparse.max_abs(s) == 3.0
