@@ -32,10 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _seed(text: str) -> int:
     """Type of the seed flags: an integer >= 0, as a Philox key must be."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {seed}")
-    return seed
+    if not text.strip().lstrip("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:

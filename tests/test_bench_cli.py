@@ -376,7 +376,6 @@ def test_cli_missing_file_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
-
 @pytest.mark.parametrize("argv,flag", [
     (["gen", "--family", "dense", "--sigma", "0.5", "--out", "x.mtx",
       "--seed", "-2"], "--seed"),
@@ -394,5 +393,5 @@ def test_cli_negative_seed_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 1
-    assert f"argument {flag}: need an integer >= 0, got -" in capsys.readouterr().err
+    assert f"argument {flag}: need an integer >= 0, got '-" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

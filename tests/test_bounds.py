@@ -197,8 +197,8 @@ def test_build_bound_report_t1():
 def test_build_bound_report_same_json_from_csr_and_array(tmp_path, family, alg,
                                                          params):
     # a CSR and the same matrix as an ndarray are profiled from one dense X
-    made = generate(GeneratorSpec(family, sigma=1e-4, block_count=100, seed=3))
-    x = made if family == "dense" else sparse.to_dense(made)
+    x = sparse.as_dense(generate(GeneratorSpec(family, sigma=1e-4,
+                                               block_count=100, seed=3)))
     texts = []
     for i, form in enumerate((sparse.from_dense(x), x)):
         bench.emit_json(bounds.build_bound_report(form, alg, params),
