@@ -31,10 +31,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    """Type of the seed flags: an integer >= 0, as a Philox key must be."""
+    """Type of the seed flags: an integer >= 0, as a Philox key must be,
+    and below 2**64, since ``mix_seed`` keeps 64 bits of it."""
     if not text.strip().lstrip("+").isdecimal():
         raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
-    return int(text)
+    seed = int(text)
+    if seed >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"need an integer < 2**64, got {text!r}")
+    return seed
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:

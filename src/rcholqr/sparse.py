@@ -3,6 +3,8 @@
 Sparse input arrives as CSR, its values checked when it is made; code
 that computes on X densifies it once (``to_dense``), and
 ``profile_sparsity`` reads the paper's sparse model off that dense X.
+The Matrix Market writer streams fixed-size chunks of entries, so its
+memory does not grow with nnz; its bytes are those of one line per entry.
 """
 
 from __future__ import annotations
@@ -286,11 +288,25 @@ def _scan_mm_entries(handle, rows: int, cols: int, nnz: int, lineno: int):
     return _coo_to_csr(rows, np.array(ii), np.array(jj), np.array(vv))
 
 
+_MM_WRITE_CHUNK = 8192  # entries formatted and written per write call
+
+
 def write_matrix_market(s: CSRMatrix, path) -> None:
-    """Write CSR as "coordinate real general" with exact value round-trip."""
+    """Write CSR as "coordinate real general" with exact value round-trip.
+
+    One line ``i j repr(v)`` per entry in CSR order, formatted and written
+    ``_MM_WRITE_CHUNK`` entries at a time (a wide row spans chunks), so the
+    writer never holds a list or an index array of all nnz entries.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("%%MatrixMarket matrix coordinate real general\n")
         handle.write(f"{s.rows} {s.cols} {s.nnz}\n")
-        rows = _entry_rows(s)
-        for i, j, v in zip(rows.tolist(), s.col_idx.tolist(), s.values.tolist()):
-            handle.write(f"{i + 1} {j + 1} {v!r}\n")
+        for e0 in range(0, s.nnz, _MM_WRITE_CHUNK):
+            e1 = min(e0 + _MM_WRITE_CHUNK, s.nnz)
+            # an entry's 1-based row is the number of row_ptr values <= its index
+            rows = np.searchsorted(s.row_ptr, np.arange(e0, e1), side="right")
+            cols = s.col_idx[e0:e1] + 1
+            handle.write("".join([
+                f"{i} {j} {v!r}\n"
+                for i, j, v in zip(rows.tolist(), cols.tolist(),
+                                   s.values[e0:e1].tolist())]))

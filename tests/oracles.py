@@ -86,3 +86,15 @@ def householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.sign(np.diagonal(r))
     signs = np.where(signs == 0.0, 1.0, signs)
     return q * signs, signs[:, None] * r
+
+
+def write_matrix_market_reference(s, path) -> None:
+    """Matrix Market writer one line at a time, every entry's row from one
+    whole-matrix index array: the bytes rcholqr.sparse.write_matrix_market
+    must write for the CSR matrix s."""
+    rows = np.repeat(np.arange(s.rows, dtype=np.int64), np.diff(s.row_ptr))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("%%MatrixMarket matrix coordinate real general\n")
+        handle.write(f"{s.rows} {s.cols} {s.nnz}\n")
+        for i, j, v in zip(rows.tolist(), s.col_idx.tolist(), s.values.tolist()):
+            handle.write(f"{i + 1} {j + 1} {v!r}\n")

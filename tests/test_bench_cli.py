@@ -395,3 +395,45 @@ def test_cli_negative_seed_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
     assert info.value.code == 1
     assert f"argument {flag}: need an integer >= 0, got '-" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [str(2**64), str(2**128)])
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "--family", "dense", "--sigma", "0.5", "--out", "x.mtx",
+      "--seed"], "--seed"),
+    (["factorize", "--in", "x.mtx", "--alg", "sr", "--s", "30", "--seed"],
+     "--seed"),
+    (["factorize", "--in", "x.mtx", "--alg", "mr", "--s1", "60", "--s2", "30",
+      "--seed"], "--seed"),
+    (["bench", "--family", "t1", "--sigma", "0.5", "--alg", "mr",
+      "--csv", "x.csv", "--master-seed"], "--master-seed"),
+    (["verify-sketch", "--kind", "gauss", "--m", "100", "--s1", "30",
+      "--eps", "0.5", "--seed"], "--seed"),
+])
+def test_cli_seed_of_2_64_or_more_exits_one(tmp_path, monkeypatch, capsys,
+                                            argv, flag, seed):
+    # mix_seed keeps 64 bits of a seed, so 2**64 would run as seed 0 in mr
+    # and verify-sketch, while sr and gen key Philox with it whole
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv + [seed])
+    assert info.value.code == 1
+    assert (f"argument {flag}: need an integer < 2**64, got '{seed}'"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_largest_seed_runs(tmp_path, capsys):
+    seed = str(2**64 - 1)
+    mtx = tmp_path / "x.mtx"
+    assert main(["gen", "--family", "dense", "--sigma", "1e-2", "--blocks", "10",
+                 "--block-size", "5", "--seed", seed, "--out", str(mtx)]) == 0
+    for alg in (["--alg", "sr", "--s", "20"],
+                ["--alg", "mr", "--s1", "40", "--s2", "20"]):
+        assert main(["factorize", "--in", str(mtx), *alg, "--seed", seed]) == 0
+    assert main(["verify-sketch", "--kind", "gauss", "--m", "100", "--n", "5",
+                 "--s1", "30", "--eps", "0.5", "--trials", "10",
+                 "--seed", seed]) == 0
+    assert main(["bench", "--family", "t1", "--sigma", "1e-4", "--blocks", "5",
+                 "--alg", "mr", "--s1", "60", "--s2", "30", "--trials", "2",
+                 "--master-seed", seed, "--csv", str(tmp_path / "b.csv")]) == 0

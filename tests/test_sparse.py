@@ -10,6 +10,8 @@ from rcholqr import sparse
 from rcholqr.errors import DimensionError, ParamError, ParseError
 from rcholqr.generators import GeneratorSpec, generate, make_t1, make_t2
 
+from oracles import write_matrix_market_reference
+
 
 def test_csr_validation():
     with pytest.raises(DimensionError):
@@ -258,6 +260,93 @@ def test_matrix_market_read_peak_memory(dense_family_file):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_matrix_market_write_peak_memory(dense_family_file, tmp_path):
+    # One chunk of entries is formatted at a time (about 2 MB here); lists
+    # of all 400000 rows, columns and values peaked at 35 MB.
+    x, _ = dense_family_file
+    tracemalloc.start()
+    try:
+        sparse.write_matrix_market(x, tmp_path / "w.mtx")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def _assert_reference_bytes(s, tmp_path):
+    sparse.write_matrix_market(s, tmp_path / "chunked.mtx")
+    write_matrix_market_reference(s, tmp_path / "reference.mtx")
+    assert ((tmp_path / "chunked.mtx").read_bytes()
+            == (tmp_path / "reference.mtx").read_bytes())
+
+
+def test_matrix_market_write_dense_family_bytes(dense_family_file, tmp_path):
+    x, path = dense_family_file
+    write_matrix_market_reference(x, tmp_path / "reference.mtx")
+    assert path.read_bytes() == (tmp_path / "reference.mtx").read_bytes()
+
+
+def _rows_csr(counts, cols, rng):
+    """CSR with counts[r] entries in row r, in sorted random columns, and
+    values across the whole exponent range."""
+    row_ptr = np.concatenate([[0], np.cumsum(counts)])
+    col_idx = np.concatenate(
+        [np.sort(rng.choice(cols, c, replace=False)) for c in counts])
+    values = rng.standard_normal(row_ptr[-1]) * 10.0 ** rng.integers(
+        -300, 300, row_ptr[-1])
+    return sparse.CSRMatrix(len(counts), cols, row_ptr, col_idx, values)
+
+
+_CHUNK = sparse._MM_WRITE_CHUNK
+
+
+@pytest.mark.parametrize("tail", [
+    [0, 0, 3, 0, 0, 1, 0, 0, 0, 4, 0, 0, 2, 0],  # a row ends at the boundary
+    [0, 0, 3, 0, 0, 3, 0, 0, 0, 4, 0],  # a row straddles it
+])
+def test_matrix_market_write_empty_rows_at_chunk_boundary(tmp_path, tail):
+    counts = [4] * (_CHUNK // 4 - 1) + tail
+    s = _rows_csr(counts, 4, np.random.default_rng(11))
+    empty = np.flatnonzero(np.diff(s.row_ptr) == 0)
+    # empty rows both before the row that holds entry _CHUNK - 1 and after
+    # the one that holds entry _CHUNK
+    boundary = np.searchsorted(s.row_ptr, [_CHUNK - 1, _CHUNK], side="right") - 1
+    assert (empty < boundary[0]).any() and (empty > boundary[1]).any()
+    _assert_reference_bytes(s, tmp_path)
+
+
+def test_matrix_market_write_row_wider_than_chunk(tmp_path):
+    cols = 2 * _CHUNK + 3
+    _assert_reference_bytes(_rows_csr([cols], cols, np.random.default_rng(12)),
+                            tmp_path)
+
+
+@pytest.mark.parametrize("nnz", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_matrix_market_write_nnz_around_chunk(tmp_path, nnz):
+    rng = np.random.default_rng(nnz)
+    d = np.zeros((_CHUNK // 4 + 1, 8))
+    d.flat[rng.choice(d.size, nnz, replace=False)] = rng.uniform(1.0, 2.0, nnz)
+    s = sparse.from_dense(d)
+    assert s.nnz == nnz
+    _assert_reference_bytes(s, tmp_path)
+
+
+def test_matrix_market_write_header_only(tmp_path):
+    s = sparse.CSRMatrix(3, 2, np.zeros(4), np.array([]), np.array([]))
+    _assert_reference_bytes(s, tmp_path)
+    assert (tmp_path / "chunked.mtx").read_text() == _BANNER + "3 2 0\n"
+
+
+def test_matrix_market_write_explicit_signed_zero(tmp_path):
+    s = sparse.CSRMatrix(2, 3, np.array([0, 3, 5]), np.array([0, 1, 2, 0, 2]),
+                         np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                                   1e22]))
+    _assert_reference_bytes(s, tmp_path)
+    assert (tmp_path / "chunked.mtx").read_text().splitlines()[2:] == [
+        "1 1 -0.0", "1 2 0.0", "1 3 5e-324", "2 1 -1.7976931348623157e+308",
+        "2 3 1e+22"]
 
 
 @pytest.mark.parametrize("tail", [2, 15])
