@@ -73,6 +73,8 @@ def run_experiment(config: ExperimentConfig,
     """
     if config.trials < 1:
         raise ParamError("need trials >= 1")
+    if not config.success_orth_threshold >= 0.0:  # NaN fails this too
+        raise ParamError("need a success threshold >= 0")
     params = SketchParams(config.algorithm, s1=config.s1, s2=config.s2)
     if x is None:
         x = load_input(config)

@@ -3,8 +3,8 @@ bound predictions for the factorization algorithms.
 
 Everything here is plain arithmetic in the unit roundoff ``u`` (2^-53 by
 default, overridable for sensitivity checks).  Each bound reads the
-algorithm only from ``SketchParams.mode`` and the matrix class only from
-``SparsityProfile.kind``.  The limits are sufficient
+algorithm only from ``SketchParams.mode`` and the matrix class only through
+``_routes``, from ``SparsityProfile.kind``.  The limits are sufficient
 conditions: a report with ``admissible=False`` does not stop an algorithm
 from running, and the experiment families routinely succeed well past the
 certified region.
@@ -159,32 +159,30 @@ def _stage(params: SketchParams, m: int,
     return t, s_out, emb, math.sqrt(1.0 - emb.eps_s), math.sqrt(1.0 + emb.eps_b)
 
 
+def _routes(profile: sparse.SparsityProfile, n: int, eta: float,
+            j: float) -> tuple[tuple[float, float], ...]:
+    """The (c, w) routes of profile.kind, the residual bound's first: the
+    entry-ratio (eta, sqrt(v t1 + n t2)) for T1, then the g-norm (j, 1.0)."""
+    if profile.kind != sparse.T1:
+        return ((j, 1.0),)
+    return (eta, sparse_weight(profile.v, profile.t1, profile.t2, n)), (j, 1.0)
+
+
 def kappa_limit(profile: sparse.SparsityProfile, params: SketchParams,
                 m: int, n: int, eta: float, j: float, u: float = U) -> float:
-    """Largest certified condition number for (params.mode, profile.kind).
-
-    Sparse-column classes use the entry-ratio route (through eta and the
-    nonzero mass), everything else the g-norm route (through j); T1 inputs
-    take the smaller of the two.  Falls to AssumptionViolated when the
-    embedding distortion is too large to certify anything.
-    """
-    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    """Largest certified condition number for (params.mode, profile.kind),
+    the smallest over the class's routes.  Too large an embedding distortion
+    raises nothing here (the limit may read 0.0); the report's
+    ``assumption_ok`` and ``admissible`` carry that assumption."""
+    routes = _routes(profile, n, eta, j)
     if params.mode == CHOLQR2:
         base = math.sqrt(m * u + (n + 1) * u)
-        k2 = 1.0 / (10.5 * j * base)
-        if profile.kind == sparse.T1:
-            k1 = 1.0 / (10.5 * eta * base * sw)
-            return min(k1, k2)
-        return k2
+        return min(1.0 / (10.5 * c * base * w) for c, w in routes)
     t, s_out, emb, root_s, root_b = _stage(params, m, u)
     tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
-    k = t * sw
-    w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
-    if profile.kind == sparse.T1:
-        r = min(root_s / (10.5 * eta * k),
-                1.0 / (10.5 * eta * (root_b * sw + k)) * tail)
-        return min(r, w)
-    return w
+    return min(min(root_s / (10.5 * c * (t * w)),
+                   1.0 / (10.5 * c * (root_b * w + t * w)) * tail)
+               for c, w in routes)
 
 
 def predicted_orth(params: SketchParams, m: int, n: int, u: float = U) -> float:
@@ -199,24 +197,20 @@ def predicted_orth(params: SketchParams, m: int, n: int, u: float = U) -> float:
 def predicted_resid(profile: sparse.SparsityProfile, params: SketchParams,
                     m: int, n: int, norm_x_2: float, eta: float, j: float,
                     u: float = U) -> float:
-    """Residual bound for (params.mode, profile.kind), linear in ||X||_2."""
-    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    """Residual bound for (params.mode, profile.kind), linear in ||X||_2,
+    on the class's first route (see ``_routes``)."""
+    c, w = _routes(profile, n, eta, j)[0]
     n_sqrt_n = n * math.sqrt(n)
     scale = u * norm_x_2
     if params.mode == CHOLQR2:
-        if profile.kind == sparse.T1:
-            return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
-        return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
+        return (2.52 * c * w + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
     t, _, emb, root_s, root_b = _stage(params, m, u)
     grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
     tail = 1.34 * math.sqrt(1.0 + grow) / root_s
-    if profile.kind == sparse.T1:
-        k = t * sw
-        return lead * (root_b * sw + k) * eta * n_sqrt_n * scale \
-            + tail * (root_b + k * eta) * n * n * scale
-    return lead * (root_b + t) * j * n_sqrt_n * scale \
-        + tail * (root_b + t * j) * n * n * scale
+    k = t * w
+    return lead * (root_b * w + k) * c * n_sqrt_n * scale \
+        + tail * (root_b + k * c) * n * n * scale
 
 
 @dataclass
@@ -242,9 +236,7 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     """Profile a matrix and evaluate every condition and bound for one run."""
     if algorithm != params.mode:
         raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
-    # the one conversion: a CSR's values were checked when it was made
-    xd = (sparse.to_dense(x) if isinstance(x, sparse.CSRMatrix)
-          else dense.finite_matrix(x))
+    xd = sparse.as_dense(x)
     m, n = xd.shape
     sketched = algorithm != CHOLQR2
     params.check(m, n)

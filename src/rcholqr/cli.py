@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def _seed(text: str) -> int:
     """Type of the seed flags: an integer >= 0, as a Philox key must be,
     and below 2**64, since ``mix_seed`` keeps 64 bits of it."""
-    if not text.strip().lstrip("+").isdecimal():
+    if not text.strip().removeprefix("+").isdecimal():
         raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
     seed = int(text)
     if seed >= 1 << 64:

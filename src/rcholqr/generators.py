@@ -39,6 +39,8 @@ class GeneratorSpec:
             raise ParamError("block_size must be at least 2")
         if self.block_count < 1:
             raise ParamError("block_count must be at least 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ParamError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def _decay(nb: int, sigma: float) -> np.ndarray:

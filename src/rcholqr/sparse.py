@@ -121,10 +121,11 @@ def to_dense(s: CSRMatrix) -> np.ndarray:
 
 
 def as_dense(x) -> np.ndarray:
-    """A CSR matrix densified, anything else converted by ``dense.as_matrix``."""
+    """The one conversion of outside input: a CSR densified (its values were
+    checked when it was made), anything else by ``dense.finite_matrix``."""
     if isinstance(x, CSRMatrix):
         return to_dense(x)
-    return dense.as_matrix(x)
+    return dense.finite_matrix(x)
 
 
 def from_dense(d) -> CSRMatrix:

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 
+from rcholqr import sparse
+from rcholqr.bounds import CHOLQR2, U, _stage, const_a, const_d, sparse_weight
+
 BLOCK = 32
 
 
@@ -98,3 +101,51 @@ def write_matrix_market_reference(s, path) -> None:
         handle.write(f"{s.rows} {s.cols} {s.nnz}\n")
         for i, j, v in zip(rows.tolist(), s.col_idx.tolist(), s.values.tolist()):
             handle.write(f"{i + 1} {j + 1} {v!r}\n")
+
+
+def kappa_limit_reference(profile, params, m: int, n: int, eta: float,
+                          j: float, u: float = U) -> float:
+    """Each class's condition-number limit written out on its own, one
+    branch per route: the values rcholqr.bounds.kappa_limit must give bit
+    for bit."""
+    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    if params.mode == CHOLQR2:
+        base = math.sqrt(m * u + (n + 1) * u)
+        k2 = 1.0 / (10.5 * j * base)
+        if profile.kind == sparse.T1:
+            k1 = 1.0 / (10.5 * eta * base * sw)
+            return min(k1, k2)
+        return k2
+    t, s_out, emb, root_s, root_b = _stage(params, m, u)
+    tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
+    k = t * sw
+    w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
+    if profile.kind == sparse.T1:
+        r = min(root_s / (10.5 * eta * k),
+                1.0 / (10.5 * eta * (root_b * sw + k)) * tail)
+        return min(r, w)
+    return w
+
+
+def predicted_resid_reference(profile, params, m: int, n: int,
+                              norm_x_2: float, eta: float, j: float,
+                              u: float = U) -> float:
+    """Each class's residual bound written out on its own: the values
+    rcholqr.bounds.predicted_resid must give bit for bit."""
+    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    n_sqrt_n = n * math.sqrt(n)
+    scale = u * norm_x_2
+    if params.mode == CHOLQR2:
+        if profile.kind == sparse.T1:
+            return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
+        return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
+    t, _, emb, root_s, root_b = _stage(params, m, u)
+    grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
+    lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
+    tail = 1.34 * math.sqrt(1.0 + grow) / root_s
+    if profile.kind == sparse.T1:
+        k = t * sw
+        return lead * (root_b * sw + k) * eta * n_sqrt_n * scale \
+            + tail * (root_b + k * eta) * n * n * scale
+    return lead * (root_b + t) * j * n_sqrt_n * scale \
+        + tail * (root_b + t * j) * n * n * scale

@@ -137,6 +137,34 @@ def test_run_experiment_validation():
                                         trials=1))
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_run_experiment_rejects_nan_or_negative_threshold(threshold):
+    # every trial would otherwise become QUALITY_FAIL without a word
+    with pytest.raises(ParamError, match="need a success threshold >= 0"):
+        run_experiment(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2,
+                                        trials=1,
+                                        success_orth_threshold=threshold))
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_cli_bench_bad_threshold_exits_one(tmp_path, capsys, threshold):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--family", "t1", "--sigma", "1e-4", "--blocks", "5",
+                 "--alg", "cholqr2", "--trials", "2", "--threshold", threshold,
+                 "--csv", str(out)]) == 1
+    assert "rcholqr: error: need a success threshold >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold,successes", [("0", 0), ("inf", 2)])
+def test_cli_bench_zero_and_infinite_thresholds_run(tmp_path, capsys,
+                                                    threshold, successes):
+    assert main(["bench", "--family", "t1", "--sigma", "1e-4", "--blocks", "5",
+                 "--alg", "cholqr2", "--trials", "2", "--threshold", threshold,
+                 "--csv", str(tmp_path / "b.csv")]) == 0
+    assert f"successes {successes}/2" in capsys.readouterr().out
+
+
 def test_emit_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], path)
@@ -421,6 +449,28 @@ def test_cli_seed_of_2_64_or_more_exits_one(tmp_path, monkeypatch, capsys,
     assert (f"argument {flag}: need an integer < 2**64, got '{seed}'"
             in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["++5", "+-5"])
+def test_cli_seed_takes_one_plus_sign_at_most(tmp_path, monkeypatch, capsys,
+                                              seed):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "dense", "--sigma", "0.5", "--out", "x.mtx",
+              "--seed", seed])
+    assert info.value.code == 1
+    assert (f"argument --seed: need an integer >= 0, got '{seed}'"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_seed_with_one_plus_sign_runs(tmp_path, capsys):
+    plain, signed = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    for seed, out in (("5", plain), (" +5 ", signed)):
+        assert main(["gen", "--family", "dense", "--sigma", "1e-2",
+                     "--blocks", "2", "--block-size", "5", "--seed", seed,
+                     "--out", str(out)]) == 0
+    assert plain.read_bytes() == signed.read_bytes()
 
 
 def test_cli_largest_seed_runs(tmp_path, capsys):

@@ -9,6 +9,8 @@ from rcholqr.errors import AssumptionViolated, ParamError, RankDeficient
 from rcholqr.generators import GeneratorSpec, generate, make_t1
 from rcholqr.sparse import SparsityProfile
 
+from oracles import kappa_limit_reference, predicted_resid_reference
+
 EXP_MULTI = SketchParams.multi(0.5, 0.6, 0.5, 0.4, 2800, 500)
 EXP_SINGLE = SketchParams.single(0.5, 0.6, 500)
 NO_SKETCH = SketchParams.none()
@@ -324,3 +326,70 @@ def test_single_embedding_is_eps_eps_p_exactly():
 def test_single_embedding_rejects_out_of_range(eps, p):
     with pytest.raises(ParamError, match=r"need each stage's eps and p in \[0, 1\]"):
         SketchParams.single(eps, p, 500).embedding()
+
+
+def _bits_or_error(f, *args, **kwargs):
+    """float.hex of f's value (NaN matches NaN, -0.0 differs from 0.0),
+    or the type of the exception it raised."""
+    try:
+        return float.hex(f(*args, **kwargs))
+    except Exception as err:  # the type is what is compared
+        return type(err)
+
+
+def _bound_grid(draws: int, seed: int):
+    """Seeded (profile, params, m, n, norm_x_2, eta, j, u) draws over every
+    class and mode, m up to 10^6, eta and j including 0 and u including 0."""
+    rng = np.random.default_rng(seed)
+    us = [U, 2 * U, 2.0 ** -24, 1e-7, 1e-40, 0.0]
+    eps_values = [0.0, 0.1, 0.5, 0.99, 1.0]
+
+    def ratio():
+        return 0.0 if rng.random() < 0.15 else float(10.0 ** rng.uniform(-4, 3))
+
+    for _ in range(draws):
+        n = int(rng.integers(1, 201))
+        m = max(n, int(10.0 ** rng.uniform(0, 6)))
+        kind = (sparse.T1, sparse.T2, sparse.DENSE)[int(rng.integers(3))]
+        v, t1, t2 = (int(k) for k in rng.integers(0, m + 1, size=3))
+        if rng.random() < 0.1:
+            v, t2 = 0, 0  # a zero nonzero mass
+        profile = SparsityProfile(v=v, t1=t1, t2=t2, c=1.0, kind=kind)
+        mode = (CHOLQR2, SR, MR)[int(rng.integers(3))]
+        e1, e2 = (eps_values[int(i)] if rng.random() < 0.3 else float(rng.random())
+                  for i in rng.integers(len(eps_values), size=2))
+        s1 = int(rng.integers(n, m + 1))
+        s2 = int(rng.integers(n, s1 + 1))
+        params = SketchParams(mode, e1, 0.5, e2 if mode == MR else 0.0, 0.5,
+                              s1 if mode != CHOLQR2 else 0,
+                              s2 if mode == MR else 0)
+        norm_x_2 = float(10.0 ** rng.uniform(-3, 3))
+        yield (profile, params, m, n, norm_x_2, ratio(), ratio(),
+               us[int(rng.integers(len(us)))])
+
+
+def test_bounds_match_per_class_reference_bit_for_bit():
+    # one formula per bound over the class's routes gives every bit and
+    # every exception type of the per-class expressions
+    weightless = SparsityProfile(v=1, t1=0, t2=0, c=1.0, kind=sparse.T1)
+    fixed = [(profile, params, 20000, 20, 1.0, eta, j, u)
+             for profile in (T1_PROFILE, T2_PROFILE, DENSE_PROFILE, weightless)
+             for params in (NO_SKETCH, EXP_SINGLE, EXP_MULTI)
+             for eta, j in ((0.007, 4.45), (0.5, 2.0), (0.0, 2.0), (0.5, 0.0))
+             for u in (U, 1e-7)]
+    outcomes = []
+    for profile, params, m, n, norm_x_2, eta, j, u in \
+            fixed + list(_bound_grid(1500, seed=20)):
+        limit = _bits_or_error(bounds.kappa_limit, profile, params, m, n,
+                               eta, j, u)
+        assert limit == _bits_or_error(kappa_limit_reference, profile, params,
+                                       m, n, eta, j, u)
+        resid = _bits_or_error(bounds.predicted_resid, profile, params, m, n,
+                               norm_x_2, eta, j, u)
+        assert resid == _bits_or_error(predicted_resid_reference, profile,
+                                       params, m, n, norm_x_2, eta, j, u)
+        outcomes += [limit, resid]
+    # the grid reaches values, zeros and raised errors alike
+    assert sum(isinstance(o, str) for o in outcomes) > 2000
+    assert "0x0.0p+0" in outcomes
+    assert {ZeroDivisionError, AssumptionViolated} <= set(outcomes)

@@ -125,3 +125,10 @@ def test_spec_validation():
         GeneratorSpec("t1", sigma=0.5, block_size=1)
     with pytest.raises(ParamError):
         GeneratorSpec("t1", sigma=0.5, block_count=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**130])
+def test_spec_rejects_seed_outside_philox_key_range(seed):
+    # the CLI's rule: a seed keys Philox whole and mix_seed keeps 64 bits
+    with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        GeneratorSpec("dense", sigma=1e-4, seed=seed)
