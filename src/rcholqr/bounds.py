@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import dense, sparse
+from . import dense, norms, sparse
 from .errors import AssumptionViolated, ParamError, RankDeficient
 from .sketch import EmbeddingParams, combine_embedding
 
@@ -233,9 +231,15 @@ class BoundReport:
 
 def build_bound_report(x, algorithm: str, params: SketchParams,
                        dense_fraction: float = 0.25, u: float = U) -> BoundReport:
-    """Profile a matrix and evaluate every condition and bound for one run."""
+    """Profile a matrix and evaluate every condition and bound for one run.
+
+    When the embedding assumption fails, the report is not admissible and
+    the terms that rest on it (the cap, its growth term and both
+    predictions) read inf, which the JSON report writes as null."""
     if algorithm != params.mode:
         raise ParamError(f"algorithm {algorithm!r} given {params.mode!r} parameters")
+    if not 0.0 < u < 1.0:
+        raise ParamError(f"need 0 < u < 1, got u={u}")
     xd = sparse.as_dense(x)
     m, n = xd.shape
     sketched = algorithm != CHOLQR2
@@ -245,16 +249,12 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
     emb = params.embedding()
     assumption_ok = not sketched or check_assumption_multi(
         emb.eps_s, emb.eps_b, m, n, u)
-    # one Gram matrix feeds ||X||_2, kappa, eta, and j: the spectrum is
-    # dense.singular_values(xd), and its diagonal is fixed_sum_rows(xd * xd)
-    # bit for bit, so j is norms.g_norm(xd) / ||X||_2 written on it
-    g = dense.gram(xd)
-    sv = np.sqrt(np.maximum(dense.sym_eigenvalues(g), 0.0))
+    sv = dense.singular_values(xd)
     norm_x = float(sv[0])
     if norm_x == 0.0:
         raise RankDeficient("zero matrix has no condition number")
     eta_m = profile.c / norm_x
-    j_m = float(np.sqrt(n)) * float(np.sqrt(np.max(np.diagonal(g)))) / norm_x
+    j_m = norms.g_norm(xd) / norm_x
     kappa = float(sv[0] / sv[-1]) if sv[-1] >= 1e-300 else math.inf
     limit = kappa_limit(profile, params, m, n, eta_m, j_m, u)
     constants = {
@@ -263,11 +263,15 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         "j": j_m,
     }
     if sketched:
-        a = const_a(emb.eps_s, emb.eps_b)
+        a = const_a(emb.eps_s, emb.eps_b) if assumption_ok else math.inf
         t = _stage(params, m, u)[0]
         k = t * sparse_weight(profile.v, profile.t1, profile.t2, n)
         constants.update(zip(CONSTANT_NAMES[algorithm],
                              (a, const_d(a, m, n, u), t, k)))
+    orth = resid = math.inf
+    if assumption_ok:
+        orth = predicted_orth(params, m, n, u)
+        resid = predicted_resid(profile, params, m, n, norm_x, eta_m, j_m, u)
     admissible = bool(size_ok[0] and size_ok[1] and assumption_ok
                       and kappa <= limit)
     return BoundReport(
@@ -281,7 +285,6 @@ def build_bound_report(x, algorithm: str, params: SketchParams,
         kappa_measured=kappa,
         admissible=admissible,
         constants=constants,
-        predicted_orth=predicted_orth(params, m, n, u),
-        predicted_resid=predicted_resid(profile, params, m, n, norm_x,
-                                        eta_m, j_m, u),
+        predicted_orth=orth,
+        predicted_resid=resid,
     )

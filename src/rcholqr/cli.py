@@ -145,7 +145,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    x = sparse.to_dense(sparse.read_matrix_market(args.infile))
+    x = sparse.as_dense(sparse.read_matrix_market(args.infile))
     try:
         result = qr.factorize(_sketch_params(args), x, args.seed)
     except CholeskyBreakdown as err:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dense, qr, sparse
 from .errors import ParamError
+from .sketch import _check_seed
 
 T1_ARROWHEAD = "t1"
 T2_ROWS = "t2"
@@ -39,8 +40,7 @@ class GeneratorSpec:
             raise ParamError("block_size must be at least 2")
         if self.block_count < 1:
             raise ParamError("block_count must be at least 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise ParamError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _check_seed(self.seed, "seed")
 
 
 def _decay(nb: int, sigma: float) -> np.ndarray:

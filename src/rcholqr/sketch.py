@@ -11,8 +11,7 @@ it; consecutive draws continue one Philox stream, so the blocks are
 bitwise the rows of the one-shot ``standard_normal((s, m))``.  Each
 output row is reduced from its own row of the operator alone, so the
 result bits depend neither on the block size nor on which of its two
-workers, the caller and a thread started on every call, reduces a block;
-:func:`densify` draws the whole operator at once, as the reference.
+workers, the caller and a thread started on every call, reduces a block.
 
 X is dense, and the reduction multiplies only its nonzeros where it is
 sparse: a column of X with at most 16 nonzeros in each 32-row block is
@@ -37,6 +36,7 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import floor, sqrt
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +59,14 @@ def mix_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _check_seed(seed, name: str) -> None:
+    """A seed is an int (not a bool) in [0, 2**64): a Philox key, and all
+    that ``mix_seed`` keeps of a master seed."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) \
+            or not 0 <= seed <= _MASK64:
+        raise ParamError(f"{name} must lie in [0, 2**64) as an int, got {seed!r}")
 
 
 @dataclass
@@ -142,7 +150,7 @@ def apply_countsketch(op: CountSketchOp, x) -> np.ndarray:
             raise DimensionError(f"operator expects {op.in_rows} rows, got {x.rows}")
         out = np.zeros((op.out_rows, out_cols))
         if x.nnz:
-            rows = np.repeat(np.arange(x.rows, dtype=np.int64), np.diff(x.row_ptr))
+            rows = sparse._entry_rows(x)
             np.add.at(out, (op.row_of[rows], x.col_idx), op.sign_of[rows] * x.values)
         return out
     x = dense.as_matrix(x)
@@ -197,8 +205,8 @@ def apply_gaussian(op: GaussianSketchOp, x) -> np.ndarray:
     of the result.  The helper starts drawing before the caller has made
     the reduction's operand, which it waits for; under :func:`apply_multi`
     the caller first makes X itself, the CountSketch stage.
-    The bits equal ``dense.matmul(densify(op), X)``.  An error in either
-    worker stops both and is raised here.
+    The bits equal ``dense.matmul(Omega, X)`` for the one-shot Omega.
+    An error in either worker stops both and is raised here.
     """
     if isinstance(x, _CountSketched):
         cols, make = x
@@ -268,19 +276,6 @@ def apply_multi(op: MultiSketchOp, x) -> np.ndarray:
                              f"Gaussian stage expects {op.gauss.in_rows}")
     return apply_gaussian(op.gauss, _CountSketched(
         cols, lambda: apply_countsketch(op.count, x)))
-
-
-def densify(op) -> np.ndarray:
-    """Operator as an explicit dense matrix (test and measurement aid)."""
-    if isinstance(op, CountSketchOp):
-        out = np.zeros((op.out_rows, op.in_rows))
-        out[op.row_of, np.arange(op.in_rows)] = op.sign_of
-        return out
-    if isinstance(op, GaussianSketchOp):
-        return _draw(_philox(op.seed), op.out_rows, op) / sqrt(op.out_rows)
-    if isinstance(op, MultiSketchOp):
-        return dense.matmul(densify(op.gauss), densify(op.count))
-    raise TypeError(f"not a sketch operator: {type(op)!r}")
 
 
 def _tolerant_ceil(value: float) -> int:

@@ -56,9 +56,9 @@ class CSRMatrix:
         if self.values.size:
             if self.col_idx.min() < 0 or self.col_idx.max() >= self.cols:
                 raise DimensionError("column index out of range")
-            rows_of = _entry_rows(self)
-            same_row = rows_of[1:] == rows_of[:-1]
-            if np.any((np.diff(self.col_idx) <= 0) & same_row):
+            # a column index may fall or repeat only where a row starts
+            starts = np.flatnonzero(self.col_idx[1:] <= self.col_idx[:-1]) + 1
+            if np.any(self.row_ptr[np.searchsorted(self.row_ptr, starts)] != starts):
                 raise DimensionError("column indices must increase within a row")
         if not np.isfinite(self.values).all():
             raise ValueError("matrix contains non-finite entries")

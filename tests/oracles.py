@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from rcholqr import sparse
+from rcholqr import dense, sketch, sparse
 from rcholqr.bounds import CHOLQR2, U, _stage, const_a, const_d, sparse_weight
 
 BLOCK = 32
@@ -89,6 +89,24 @@ def householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.sign(np.diagonal(r))
     signs = np.where(signs == 0.0, 1.0, signs)
     return q * signs, signs[:, None] * r
+
+
+def densify(op) -> np.ndarray:
+    """A sketch operator as an explicit dense matrix.  The Gaussian entries
+    come from a Philox stream of the operator's seed drawn here in one
+    shot, not through rcholqr.sketch._draw, so a test that patches that
+    seam does not patch the reference too."""
+    if isinstance(op, sketch.CountSketchOp):
+        out = np.zeros((op.out_rows, op.in_rows))
+        out[op.row_of, np.arange(op.in_rows)] = op.sign_of
+        return out
+    if isinstance(op, sketch.GaussianSketchOp):
+        rng = np.random.Generator(np.random.Philox(key=op.seed))
+        entries = rng.standard_normal((op.out_rows, op.in_rows))
+        return entries / math.sqrt(op.out_rows)
+    if isinstance(op, sketch.MultiSketchOp):
+        return dense.matmul(densify(op.gauss), densify(op.count))
+    raise TypeError(f"not a sketch operator: {type(op)!r}")
 
 
 def write_matrix_market_reference(s, path) -> None:

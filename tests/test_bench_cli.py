@@ -146,6 +146,15 @@ def test_run_experiment_rejects_nan_or_negative_threshold(threshold):
                                         success_orth_threshold=threshold))
 
 
+@pytest.mark.parametrize("master_seed", [2**64, -1, 1.5, True])
+def test_run_experiment_rejects_master_seed_outside_64_bits(master_seed):
+    # mix_seed keeps 64 bits: 2**64 would run master 0's trials, -1 those
+    # of 2**64 - 1
+    with pytest.raises(ParamError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+        run_experiment(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2,
+                                        trials=1, master_seed=master_seed))
+
+
 @pytest.mark.parametrize("threshold", ["nan", "-1"])
 def test_cli_bench_bad_threshold_exits_one(tmp_path, capsys, threshold):
     out = tmp_path / "b.csv"
@@ -281,6 +290,24 @@ def test_cli_bounds_json(tmp_path, capsys):
     assert isinstance(data["admissible"], bool)
     assert data["kappa_limit"] > 0
     assert "predicted_orth" in data and "predicted_resid" in data
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alg", "sr", "--s", "100", "--eps", "0.999"],
+    ["--alg", "mr", "--s1", "700", "--s2", "100", "--eps1", "0.99", "--eps2", "0.99"]])
+def test_cli_bounds_failed_assumption_reads_null(tmp_path, capsys, flags):
+    # the distortion leaves no kappa(W) cap: a report, not an error
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "100",
+          "--out", str(mtx)])
+    report = tmp_path / "report.json"
+    assert main(["bounds", "--in", str(mtx), *flags, "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["assumption_ok"] is False and data["admissible"] is False
+    assert data["predicted_orth"] is None and data["predicted_resid"] is None
+    cap, growth = ("b", "h") if flags[1] == "sr" else ("a", "d")
+    assert data["constants"][cap] is None and data["constants"][growth] is None
+    assert data["kappa_measured"] > 0 and data["constants"]["j"] > 0
 
 
 @pytest.mark.parametrize("sizes", [

@@ -285,14 +285,64 @@ def test_build_bound_report_constants_pinned():
 
 @pytest.mark.parametrize("shape", [(33, 5), (417, 11), (4096, 20), (100000, 3)])
 def test_build_bound_report_j_is_g_norm_over_two_norm(shape):
-    # the report takes j from the diagonal of the Gram matrix it forms for
-    # the spectrum; that must be norms.g_norm bit for bit, through zeros and
-    # entries far from 1
+    # j is norms.g_norm over the spectrum's largest value, bit for bit,
+    # through zeros and entries far from 1
     rng = np.random.default_rng(shape[0])
     x = rng.standard_normal(shape) * np.exp2(rng.integers(-150, 151, shape))
     x[rng.random(shape) < 0.3] = 0.0
     report = bounds.build_bound_report(x, CHOLQR2, NO_SKETCH)
     assert report.constants["j"] == norms.g_norm(x) / dense.singular_values(x)[0]
+
+
+def test_build_bound_report_calls_spectrum_and_g_norm_once(monkeypatch):
+    # through the module attributes, which the benchmark's tracer wraps
+    calls = []
+    for module, name in ((dense, "singular_values"), (norms, "g_norm")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    x = np.random.default_rng(3).standard_normal((300, 6))
+    for alg, params in ((CHOLQR2, NO_SKETCH), (SR, SketchParams.single(0.5, 0.6, 50)),
+                        (MR, SketchParams.multi(0.5, 0.6, 0.5, 0.4, 200, 50))):
+        calls.clear()
+        bounds.build_bound_report(x, alg, params)
+        assert sorted(calls) == ["g_norm", "singular_values"], alg
+
+
+@pytest.mark.parametrize("u", [0.0, -U, 1.0, 2.0, math.inf, math.nan])
+def test_build_bound_report_rejects_u_outside_open_unit_interval(u):
+    x = np.random.default_rng(4).standard_normal((200, 5))
+    with pytest.raises(ParamError, match="need 0 < u < 1"):
+        bounds.build_bound_report(x, CHOLQR2, NO_SKETCH, u=u)
+
+
+@pytest.mark.parametrize("eps,ok,capped", [
+    (0.9985, True, True),
+    (0.998943, False, True),  # the band where const_a still reads a number
+    (0.999, False, False), (1.0, False, False)])
+def test_build_bound_report_failed_assumption_is_a_report(eps, ok, capped):
+    # past the assumption, kappa(W) has no cap, whether or not const_a
+    # raises: the report says so instead of raising
+    x = np.random.default_rng(5).standard_normal((2000, 10))
+    params = SketchParams.single(eps, 0.6, 100)
+    emb = params.embedding()
+    assert bounds.check_assumption_multi(emb.eps_s, emb.eps_b, 2000, 10) is ok
+    if capped:
+        assert math.isfinite(bounds.const_a(emb.eps_s, emb.eps_b))
+    else:
+        with pytest.raises(AssumptionViolated):
+            bounds.const_a(emb.eps_s, emb.eps_b)
+    report = bounds.build_bound_report(x, SR, params)
+    assert report.assumption_ok is ok
+    if ok:
+        assert report.constants["b"] == bounds.const_a(emb.eps_s, emb.eps_b)
+        assert math.isfinite(report.predicted_resid)
+        return
+    assert not report.admissible
+    assert math.isinf(report.constants["b"]) and math.isinf(report.constants["h"])
+    assert math.isinf(report.predicted_orth) and math.isinf(report.predicted_resid)
+    assert report.constants["t1"] == bounds.const_t1(2000, 100)
 
 
 def test_build_bound_report_zero_matrix_raises():

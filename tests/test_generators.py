@@ -132,3 +132,16 @@ def test_spec_rejects_seed_outside_philox_key_range(seed):
     # the CLI's rule: a seed keys Philox whole and mix_seed keeps 64 bits
     with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\)"):
         GeneratorSpec("dense", sigma=1e-4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(2.0), "1"])
+def test_spec_rejects_seed_that_is_not_an_int(seed):
+    # Philox would truncate 1.5 to 1's key, and True is 1
+    with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\) as an int"):
+        GeneratorSpec("dense", sigma=1e-4, seed=seed)
+
+
+def test_spec_takes_numpy_int_seed():
+    a = make_dense(GeneratorSpec("dense", sigma=1e-4, block_count=2, seed=np.int64(7)))
+    b = make_dense(GeneratorSpec("dense", sigma=1e-4, block_count=2, seed=7))
+    assert np.array_equal(a, b)

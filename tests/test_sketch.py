@@ -13,7 +13,7 @@ from rcholqr import dense, generators, norms, sketch, sparse
 from rcholqr.errors import DimensionError, ParamError
 from rcholqr.generators import GeneratorSpec
 
-from oracles import matmul_reference
+from oracles import densify, matmul_reference
 
 
 def test_countsketch_determinism():
@@ -28,7 +28,7 @@ def test_countsketch_determinism():
 def test_countsketch_frobenius_exact():
     for seed in range(25):
         op = sketch.build_countsketch(37, 512, seed)
-        assert norms.fro_norm(sketch.densify(op)) == np.sqrt(512.0)
+        assert norms.fro_norm(densify(op)) == np.sqrt(512.0)
 
 
 def test_countsketch_param_errors():
@@ -57,7 +57,7 @@ def test_apply_countsketch_matches_densified():
     for seed in range(10):
         op = sketch.build_countsketch(8, 60, seed)
         x = rng.standard_normal((60, 5))
-        ref = sketch.densify(op) @ x
+        ref = densify(op) @ x
         got = sketch.apply_countsketch(op, x)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
@@ -96,7 +96,7 @@ def test_apply_gaussian_dimension():
 def test_gaussian_determinism_and_zero():
     a = sketch.build_gaussian(6, 40, seed=5)
     b = sketch.build_gaussian(6, 40, seed=5)
-    assert np.array_equal(sketch.densify(a), sketch.densify(b))
+    assert np.array_equal(densify(a), densify(b))
     assert np.array_equal(sketch.apply_gaussian(a, np.zeros((40, 2))),
                           np.zeros((6, 2)))
 
@@ -109,7 +109,7 @@ def test_gaussian_norm_expectation():
     ratios = np.empty(2000)
     for seed in range(2000):
         op = sketch.build_gaussian(10, 40, seed)
-        y = sketch.densify(op) @ x
+        y = densify(op) @ x
         ratios[seed] = float(np.sum(y * y)) / x_sq
     assert 0.95 <= ratios.mean() <= 1.05
 
@@ -119,7 +119,7 @@ def test_gaussian_two_norm_probabilistic_bound():
     s1, s2 = 128, 32
     bound = gaussian_two_norm_bound(s2, s1)
     hits = sum(
-        np.linalg.norm(sketch.densify(sketch.build_gaussian(s2, s1, seed)), 2) <= bound
+        np.linalg.norm(densify(sketch.build_gaussian(s2, s1, seed)), 2) <= bound
         for seed in range(200))
     assert hits >= 190
 
@@ -137,7 +137,7 @@ def _family(kind):
 def test_gaussian_entries_are_the_one_shot_draw(s, m):
     op = sketch.build_gaussian(s, m, seed=21)
     ref = np.random.Generator(np.random.Philox(key=21)).standard_normal((s, m)) / sqrt(s)
-    assert _same_bits(sketch.densify(op), ref)
+    assert _same_bits(densify(op), ref)
 
 
 @pytest.mark.parametrize("s, m", [
@@ -150,7 +150,7 @@ def test_apply_gaussian_matches_matmul_of_entries(s, m):
     rng = np.random.default_rng(s + m)
     x = rng.standard_normal((m, 4))
     op = sketch.build_gaussian(s, m, seed=s)
-    assert _same_bits(sketch.apply_gaussian(op, x), dense.matmul(sketch.densify(op), x))
+    assert _same_bits(sketch.apply_gaussian(op, x), dense.matmul(densify(op), x))
 
 
 def test_gaussian_block_rows_rule():
@@ -184,7 +184,7 @@ def test_apply_gaussian_small_blocks_keep_bits(monkeypatch, draw, blocks):
     op = sketch.build_gaussian(17, 90, seed=draw)
     got = sketch.apply_gaussian(op, x)
     assert drawn == blocks
-    assert _same_bits(got, dense.matmul(sketch.densify(op), x))
+    assert _same_bits(got, dense.matmul(densify(op), x))
 
 
 def test_apply_gaussian_non_finite_block_raises(monkeypatch):
@@ -231,7 +231,7 @@ def test_apply_gaussian_single_block_starts_and_joins_its_helper(monkeypatch):
     before = threading.active_count()
     for _ in range(5):
         assert _same_bits(sketch.apply_gaussian(op, x),
-                          dense.matmul(sketch.densify(op), x))
+                          dense.matmul(densify(op), x))
     assert started == ["rcholqr-sketch"] * 5
     assert threading.active_count() == before
     assert not [t for t in threading.enumerate() if t.name == "rcholqr-sketch"]
@@ -257,7 +257,7 @@ def _apply_concurrently(x, ops):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     for op, y in zip(ops, got):
-        assert _same_bits(y, dense.matmul(sketch.densify(op), x))
+        assert _same_bits(y, dense.matmul(densify(op), x))
 
 
 def test_apply_gaussian_from_concurrent_callers():
@@ -319,7 +319,7 @@ def _check_sketch(x, s, seed):
     by the package's matmul and by the scalar replay."""
     op = sketch.build_gaussian(s, x.shape[0], seed)
     got = sketch.apply_gaussian(op, x)
-    omega = sketch.densify(op)
+    omega = densify(op)
     assert _same_bits(got, dense.matmul(omega, x))
     assert _same_bits(got, matmul_reference(omega, x))
     return got
@@ -344,7 +344,7 @@ def _zero_pattern_x(omega):
 
 def test_apply_gaussian_skips_zeros_with_the_same_bits():
     s, m = 10, 417  # one 10-row block, 14 summation blocks, the last ragged
-    x = _zero_pattern_x(sketch.densify(sketch.build_gaussian(s, m, 43)))
+    x = _zero_pattern_x(densify(sketch.build_gaussian(s, m, 43)))
     assert dense._reduce_operand(x, sketch._block_rows(s, m)).packed.tolist() == [2, 3, 4, 6]
     got = _check_sketch(x, s, 43)
     assert got[0, 3] == 0.0 and np.all(got[1:, 3] != 0.0)
@@ -373,7 +373,7 @@ def test_apply_gaussian_on_the_families(kind):
     x = _family(kind)
     op = sketch.build_gaussian(100, 20000, seed=45)  # two 50-row blocks
     got = sketch.apply_gaussian(op, x)
-    omega = sketch.densify(op)
+    omega = densify(op)
     assert _same_bits(got, dense.matmul(omega, x))
     assert _same_bits(got, dense._reduce_steps(omega, dense._steps(x)))
     assert _same_bits(got[[0, 99]], matmul_reference(omega[[0, 99]], x))
@@ -398,7 +398,7 @@ def test_helper_draws_while_the_operand_is_made(monkeypatch):
     op = sketch.build_gaussian(500, 2800, seed=47)
     got = sketch.apply_gaussian(op, x)
     assert seen == [True]
-    assert _same_bits(got, dense.matmul(sketch.densify(op), x))
+    assert _same_bits(got, dense.matmul(densify(op), x))
 
 
 def test_multisketch_build_and_apply():
@@ -407,7 +407,7 @@ def test_multisketch_build_and_apply():
     x = rng.standard_normal((200, 5))
     got = sketch.apply_multi(op, x)
     assert got.shape == (12, 5)
-    ref = sketch.densify(op.gauss) @ (sketch.densify(op.count) @ x)
+    ref = densify(op.gauss) @ (densify(op.count) @ x)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.array_equal(sketch.apply_multi(op, np.zeros((200, 3))),
                           np.zeros((12, 3)))
@@ -433,7 +433,7 @@ def test_apply_multi_is_the_gaussian_stage_of_the_countsketch_stage(monkeypatch,
         monkeypatch.setattr(sketch, "_DRAW", draw)
     x = sparse.as_dense(generators.generate(GeneratorSpec(kind, sigma=1e-4, block_count=20)))
     op = sketch.build_multisketch(320, 52, x.shape[0], seed=48)
-    want = dense.matmul(sketch.densify(op.gauss), sketch.apply_countsketch(op.count, x))
+    want = dense.matmul(densify(op.gauss), sketch.apply_countsketch(op.count, x))
     assert _same_bits(sketch.apply_multi(op, x), want)
 
 
@@ -456,7 +456,7 @@ def test_helper_draws_while_the_countsketch_stage_runs(monkeypatch):
     op = sketch.build_multisketch(2800, 500, 4000, seed=50)
     got = sketch.apply_multi(op, x)
     assert seen == [True]
-    assert _same_bits(got, dense.matmul(sketch.densify(op.gauss), count(op.count, x)))
+    assert _same_bits(got, dense.matmul(densify(op.gauss), count(op.count, x)))
 
 
 def test_countsketch_stage_error_stops_the_helper(monkeypatch):

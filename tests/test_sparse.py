@@ -22,6 +22,39 @@ def test_csr_validation():
         sparse.CSRMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([np.inf]))
 
 
+@pytest.mark.parametrize("row_ptr,col_idx,ok", [
+    ([0, 2, 2, 2, 4], [0, 1, 0, 1], True),    # a fall after empty rows
+    ([0, 2, 4, 4], [1, 2, 1, 2], True),       # a repeat at a row start
+    ([0, 1, 2], [0, 1], True),                # a rise at a row start
+    ([0, 2, 2, 4], [1, 1, 0, 2], False),      # a repeat within the first row
+    ([0, 1, 1, 4], [0, 2, 3, 1], False),      # a fall within the last row
+    ([0, 0, 3, 3], [0, 2, 2], False),         # a repeat after an empty row
+])
+def test_csr_column_order_is_checked_within_rows_only(row_ptr, col_idx, ok):
+    rows = len(row_ptr) - 1
+    args = (rows, 4, np.array(row_ptr), np.array(col_idx), np.ones(len(col_idx)))
+    if ok:
+        sparse.CSRMatrix(*args)
+    else:
+        with pytest.raises(DimensionError, match="must increase within a row"):
+            sparse.CSRMatrix(*args)
+
+
+def test_csr_check_forms_no_array_per_entry_of_eight_bytes():
+    # the column-order check reads row starts off row_ptr: no entry-row index
+    m, n = 50000, 20
+    row_ptr = np.arange(0, m * n + 1, n, dtype=np.int64)
+    col_idx = np.tile(np.arange(n, dtype=np.int64), m)
+    values = np.ones(m * n)
+    tracemalloc.start()
+    try:
+        sparse.CSRMatrix(m, n, row_ptr, col_idx, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * m * n  # 18 bytes per entry with an entry-row index
+
+
 def test_profile_all_zero():
     prof = sparse.profile_sparsity(np.zeros((10, 3)))
     assert (prof.v, prof.t1, prof.t2, prof.c) == (0, 0, 0, 0.0)
