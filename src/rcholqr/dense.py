@@ -590,62 +590,47 @@ def _trisolve_into(x: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def sym_eigenvalues(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi.
+def singular_values(x) -> np.ndarray:
+    """Singular values of X, descending: the square roots of the
+    eigenvalues of ``gram(x)``, found by cyclic Jacobi; the bound report's
+    spectrum.
 
-    ``s`` must be symmetric, as :func:`gram` makes it exactly.  Sweeps run
-    until ``sum(a*a) - sum(diag(a)**2) <= (1e-14 ||S||_F)^2``, or 100 times.
-    That difference resolves only about u ||S||_F^2, so sweeping can stop
-    early, or never and run all 100 (ROADMAP item 1).
+    Sweeps run until ``sum(a*a) - sum(diag(a)**2) <= (1e-14 ||G||_F)^2``,
+    or 100 times.  That difference resolves only about u ||G||_F^2, so
+    sweeping can stop early, or never and run all 100: condition numbers
+    read low from about 1e5 (37% low at 1e5, 93% at 1e7; ROADMAP item 1).
+    Past about 1e8 the squaring dominates: values below about
+    sqrt(u) * ||X||_2 are lost.  A rotation reads its three entries as
+    Python floats and writes the pair's rows, then its columns, from
+    views of the old ones.
     """
-    s = as_matrix(s, "symmetric matrix")
-    n = s.shape[0]
-    if s.shape[1] != n:
-        raise DimensionError(f"expected square matrix, got {s.shape}")
-    fro = float(np.sqrt(np.sum(s * s)))
-    a = s.copy()
-    threshold_sq = (1e-14 * fro) ** 2
+    x = as_matrix(x)
+    a = gram(x)
+    n = a.shape[0]
+    threshold_sq = (1e-14 * float(np.sqrt(np.sum(a * a)))) ** 2
     for _ in range(100):
         off_sq = float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))
         if not off_sq > threshold_sq:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if apq == 0.0:
                     continue
-                diff = a[q, q] - a[p, p]
+                diff = a.item(q, q) - a.item(p, p)
                 if abs(apq) < 1e-36 * abs(diff):
                     t = apq / diff
                 else:
                     theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                     if theta < 0.0:
                         t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 sn = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diagonal(a).copy())[::-1]
-
-
-def singular_values(x) -> np.ndarray:
-    """Singular values (descending) via eigenvalues of the Gram matrix;
-    the bound report's spectrum.
-
-    The Jacobi's stop rule already reads condition numbers low from about
-    1e5 (37% low at 1e5, 93% at 1e7; ROADMAP item 1).  Past about 1e8 the
-    squaring dominates: values below about sqrt(u) * ||X||_2 are lost.
-    """
-    x = as_matrix(x)
-    lam = sym_eigenvalues(gram(x))
+                rp, rq = a[p], a[q]
+                a[p], a[q] = c * rp - sn * rq, sn * rp + c * rq
+                cp, cq = a[:, p], a[:, q]
+                a[:, p], a[:, q] = c * cp - sn * cq, sn * cp + c * cq
+                a[p, q] = a[q, p] = 0.0
+    lam = np.sort(np.diagonal(a))[::-1]
     return np.sqrt(np.maximum(lam, 0.0))
-

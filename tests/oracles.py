@@ -83,6 +83,49 @@ def trisolve_reference(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return w
 
 
+def jacobi_singular_values_reference(g: np.ndarray) -> np.ndarray:
+    """Replay of the production cyclic Jacobi on a Gram matrix ``g``: the
+    same rotations in the same order, each reading numpy scalars and
+    copying the pair's rows and columns before it overwrites them.  The
+    square roots of the eigenvalues, descending.  Must agree bit for bit
+    with rcholqr.dense.singular_values of an X whose Gram is ``g``.
+    """
+    n = g.shape[0]
+    a = g.copy()
+    threshold_sq = (1e-14 * float(np.sqrt(np.sum(g * g)))) ** 2
+    for _ in range(100):
+        off_sq = float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))
+        if not off_sq > threshold_sq:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-36 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                sn = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - sn * rq
+                a[q, :] = sn * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - sn * cq
+                a[:, q] = sn * cp + c * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    lam = np.sort(np.diagonal(a).copy())[::-1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
 def householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK Householder QR, normalized to a positive R diagonal."""
     q, r = np.linalg.qr(x)

@@ -11,6 +11,7 @@ from rcholqr.generators import GeneratorSpec
 
 from oracles import (
     gram_reference,
+    jacobi_singular_values_reference,
     matmul_compensated,
     matmul_reference,
     trisolve_reference,
@@ -315,27 +316,53 @@ def test_trisolve_matches_column_replay_on_t1():
     assert _same_bits(dense.trisolve_right(x, r), trisolve_reference(x, r))
 
 
-def test_sym_eigenvalues_diagonal():
-    assert np.array_equal(dense.sym_eigenvalues(np.diag([3.0, 1.0, 2.0])),
+def test_singular_values_diagonal():
+    assert np.array_equal(dense.singular_values(np.diag([3.0, 1.0, 2.0])),
                           [3.0, 2.0, 1.0])
 
 
-def test_sym_eigenvalues_hand_example():
-    lam = dense.sym_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(lam, [3.0, 1.0], rtol=0, atol=1e-14)
+def test_singular_values_hand_example():
+    sv = dense.singular_values(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(sv, [3.0, 1.0], rtol=0, atol=1e-14)
 
 
-def test_sym_eigenvalues_constructed_spectrum():
+def test_singular_values_constructed_spectrum():
     rng = np.random.default_rng(12)
     for _ in range(20):
         n = int(rng.integers(2, 25))
-        lam = np.sort(rng.uniform(-4.0, 4.0, n))[::-1]
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        s = q @ np.diag(lam) @ q.T
-        got = dense.sym_eigenvalues(0.5 * (s + s.T))
-        assert np.max(np.abs(got - lam)) <= 1e-10 * np.max(np.abs(lam))
+        m = n + int(rng.integers(0, 40))
+        s = np.sort(rng.uniform(0.25, 4.0, n))[::-1]
+        q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        got = dense.singular_values(q @ np.diag(s) @ v.T)
+        assert np.max(np.abs(got - s) / s) <= 1e-10
 
 
+def _hex(v):
+    return [float(e).hex() for e in v]
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("t1", sigma=1e-4),
+    GeneratorSpec("t2", sigma=1.25e-9),
+    GeneratorSpec("dense", sigma=1.25e-9, seed=3),
+], ids=["paper-t1", "frontier-t2", "frontier-dense"])
+def test_singular_values_match_jacobi_replay_on_benchmark_inputs(spec):
+    x = load_input(ExperimentConfig(generator=spec, algorithm=CHOLQR2))
+    assert _hex(dense.singular_values(x)) == \
+        _hex(jacobi_singular_values_reference(dense.gram(x)))
+
+
+def test_singular_values_match_jacobi_replay_on_spd_grams(monkeypatch):
+    # singular_values forms its Gram through the module attribute
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(2, 25))
+        y = rng.standard_normal((n + int(rng.integers(0, 10)), n))
+        g = dense.gram(y * np.exp(rng.uniform(-8.0, 8.0, n)))
+        monkeypatch.setattr(dense, "gram", lambda _x, g=g: g.copy())
+        assert _hex(dense.singular_values(np.ones((n, n)))) == \
+            _hex(jacobi_singular_values_reference(g))
 
 
 def test_singular_values_identity():
