@@ -125,8 +125,10 @@ def factorize(params: SketchParams, x, seed: int) -> QRResult:
     The one map from an algorithm to its sketch and factorization.  It calls
     both through module attributes, so wrappers patched onto ``qr`` and
     ``sketch`` (R capture, tracing) see every call.  The factorization it
-    calls checks that ``x`` is finite.
+    calls checks that ``x`` is finite.  ``seed`` is checked for every
+    algorithm, cholqr2 too, which draws nothing.
     """
+    sketch._check_seed(seed, "seed")
     x = dense.as_matrix(x)
     m, n = x.shape
     params.check(m, n)

@@ -117,6 +117,7 @@ def _draw(rng: np.random.Generator, rows: int, op: GaussianSketchOp) -> np.ndarr
 
 
 def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
+    _check_seed(seed, "seed")
     if not 1 <= s1 <= m:
         raise ParamError(f"need 1 <= s1 <= m, got s1={s1}, m={m}")
     rng = _philox(seed)
@@ -126,6 +127,7 @@ def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
 
 
 def build_gaussian(s: int, m_in: int, seed: int) -> GaussianSketchOp:
+    _check_seed(seed, "seed")
     if not 1 <= s <= m_in:
         raise ParamError(f"need 1 <= s <= m_in, got s={s}, m_in={m_in}")
     return GaussianSketchOp(s, m_in, seed)
@@ -133,6 +135,7 @@ def build_gaussian(s: int, m_in: int, seed: int) -> GaussianSketchOp:
 
 def build_multisketch(s1: int, s2: int, m: int, seed: int) -> MultiSketchOp:
     """Independent stages from sub-seeds mix_seed(seed, 0) and mix_seed(seed, 1)."""
+    _check_seed(seed, "seed")
     return MultiSketchOp(
         count=build_countsketch(s1, m, mix_seed(seed, 0)),
         gauss=build_gaussian(s2, s1, mix_seed(seed, 1)),
@@ -333,6 +336,7 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     """
     if trials < 1:
         raise ParamError("need trials >= 1")
+    _check_seed(seed, "seed")
     if isinstance(eps, EmbeddingParams):
         lo, hi = eps.eps_s, eps.eps_b
     else:

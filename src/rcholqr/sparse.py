@@ -130,12 +130,15 @@ def as_dense(x) -> np.ndarray:
 
 def from_dense(d) -> CSRMatrix:
     """Compress a dense matrix, dropping its zero entries; the CSR check
-    then rejects a NaN or inf."""
+    then rejects a NaN or inf.  The one index array formed is the column
+    of each kept entry, its flat index reduced modulo the column count
+    in place; the rows are counted off the mask."""
     d = dense.as_matrix(d)
     keep = d != 0.0
-    rows, cols = np.nonzero(keep)
     row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])
+    np.cumsum(np.count_nonzero(keep, axis=1), out=row_ptr[1:])
+    cols = np.flatnonzero(keep)
+    np.remainder(cols, d.shape[1], out=cols)
     return CSRMatrix(d.shape[0], d.shape[1], row_ptr, cols, d[keep])
 
 

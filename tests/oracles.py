@@ -92,16 +92,14 @@ def jacobi_singular_values_reference(g: np.ndarray) -> np.ndarray:
     """
     n = g.shape[0]
     a = g.copy()
-    threshold_sq = (1e-14 * float(np.sqrt(np.sum(g * g)))) ** 2
     for _ in range(100):
-        off_sq = float(np.sum(a * a) - np.sum(np.diagonal(a) ** 2))
-        if not off_sq > threshold_sq:
-            break
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if apq == 0.0:
+                if not abs(apq) > 1e-15 * np.sqrt(abs(a[p, p])) * np.sqrt(abs(a[q, q])):
                     continue
+                rotated = True
                 diff = a[q, q] - a[p, p]
                 if abs(apq) < 1e-36 * abs(diff):
                     t = apq / diff
@@ -122,6 +120,8 @@ def jacobi_singular_values_reference(g: np.ndarray) -> np.ndarray:
                 a[:, q] = sn * cp + c * cq
                 a[p, q] = 0.0
                 a[q, p] = 0.0
+        if not rotated:
+            break
     lam = np.sort(np.diagonal(a).copy())[::-1]
     return np.sqrt(np.maximum(lam, 0.0))
 

@@ -135,6 +135,9 @@ def test_run_experiment_validation():
     with pytest.raises(ParamError):
         run_experiment(ExperimentConfig(generator=small_t1(), algorithm="qr",
                                         trials=1))
+    with pytest.raises(ParamError, match="need trials >= 1"):
+        run_experiment(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2,
+                                        trials=0))
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0])
@@ -396,6 +399,28 @@ def test_cli_verify_sketch(capsys):
     assert code == 0
     frac = float(capsys.readouterr().out.split()[1])
     assert frac >= 0.4
+
+
+def test_cli_verify_sketch_count_is_the_countsketch(capsys):
+    # the fraction the command prints is verify_embedding's for the
+    # CountSketch drawn from mix_seed(seed, 1) on X drawn from mix_seed(seed, 0)
+    main(["verify-sketch", "--kind", "count", "--m", "300", "--n", "10",
+          "--s1", "80", "--eps", "0.5", "--trials", "100", "--seed", "4"])
+    printed = capsys.readouterr().out.split()[1]
+    rng = np.random.Generator(np.random.Philox(key=sketch.mix_seed(4, 0)))
+    x = rng.standard_normal((300, 10))
+    op = sketch.build_countsketch(80, 300, sketch.mix_seed(4, 1))
+    expected = sketch.verify_embedding(op, x, 0.5, 100, sketch.mix_seed(4, 2))
+    assert printed == f"{expected:.4f}"
+
+
+def test_cli_verify_sketch_multi_needs_s2(capsys):
+    code = main(["verify-sketch", "--kind", "multi", "--m", "200", "--n", "5",
+                 "--s1", "100", "--eps", "0.5", "--trials", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "rcholqr: error: multi kind needs --s2" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("eps", ["1.5", "-0.5", "nan"])

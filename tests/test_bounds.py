@@ -34,6 +34,9 @@ def test_check_size():
     assert bounds.check_size(2**53, 1) == (False, True)
     assert bounds.check_size(1, 1) == (True, True)
     assert 20000 * 20 * U == pytest.approx(4.44e-11, rel=1e-2)
+    for m, n in ((19, 20), (1, 0)):
+        with pytest.raises(ParamError, match="need m >= n >= 1"):
+            bounds.check_size(m, n)
 
 
 def test_check_assumptions():
@@ -292,6 +295,37 @@ def test_build_bound_report_j_is_g_norm_over_two_norm(shape):
     x[rng.random(shape) < 0.3] = 0.0
     report = bounds.build_bound_report(x, CHOLQR2, NO_SKETCH)
     assert report.constants["j"] == norms.g_norm(x) / dense.singular_values(x)[0]
+
+
+def _report_kappa(spec):
+    x = sparse.as_dense(generate(spec))
+    return bounds.build_bound_report(x, CHOLQR2, NO_SKETCH).kappa_measured, x
+
+
+@pytest.mark.parametrize("family, sigma", [
+    ("t1", 1e-3), ("t1", 1e-4),
+    ("t2", 1e-3), ("t2", 1e-4), ("t2", 1e-5),
+    ("dense", 1e-3), ("dense", 1e-4), ("dense", 1e-5), ("dense", 1e-6),
+])
+def test_report_kappa_agrees_with_lapack_up_to_1e6(family, sigma):
+    # the Jacobi's per-pair stop test; the global off-norm test it replaced
+    # read these up to 37% low (dense at 1e-5)
+    kappa, x = _report_kappa(GeneratorSpec(family, sigma=sigma))
+    cond = np.linalg.cond(x)
+    assert cond < 1.001e6  # dense at 1e-6 is 1e6 to within 3e-12
+    assert abs(kappa - cond) <= 1e-4 * cond
+
+
+@pytest.mark.parametrize("family", ["t1", "t2", "dense"])
+def test_report_kappa_is_monotone_in_sigma_up_to_1e7(family):
+    kappas = []
+    for k in range(4, 21):  # sigma from 1e-2 down by quarter decades
+        kappa, x = _report_kappa(GeneratorSpec(family, sigma=10.0 ** (-k / 4)))
+        if np.linalg.cond(x) > 1e7:
+            break
+        kappas.append(kappa)
+    assert len(kappas) >= 16 if family == "dense" else len(kappas) >= 13
+    assert all(a < b for a, b in zip(kappas, kappas[1:])), kappas
 
 
 def test_build_bound_report_calls_spectrum_and_g_norm_once(monkeypatch):

@@ -268,6 +268,12 @@ def test_trisolve_hand_example():
     assert np.array_equal(w, np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3, 4)])
+def test_trisolve_rejects_a_factor_of_the_wrong_shape(shape):
+    with pytest.raises(DimensionError, match="factor shape"):
+        dense.trisolve_right(np.ones((6, 3)), np.ones(shape))
+
+
 def test_trisolve_residual_bound():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((40, 6))

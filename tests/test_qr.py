@@ -8,7 +8,7 @@ import pytest
 from rcholqr import dense, qr, sketch
 from rcholqr.bench import SUCCESS, ExperimentConfig, run_experiment
 from rcholqr.bounds import CHOLQR2, MR, SR, U, SketchParams, build_bound_report
-from rcholqr.errors import CholeskyBreakdown, DimensionError
+from rcholqr.errors import CholeskyBreakdown, DimensionError, ParamError
 from rcholqr.generators import GeneratorSpec, make_dense, make_t1
 from rcholqr.norms import fro_norm
 
@@ -99,6 +99,17 @@ def test_second_cholesky_breakdown_tagged(monkeypatch, params, stage):
         qr.factorize(params, x, seed=9)
     assert (info.value.stage, info.value.index) == (stage, 3)
     assert calls == [(20, 20), (20, 20)]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, 2**64, 2**70, "x"], ids=repr)
+@pytest.mark.parametrize("params", [SketchParams.none(), SketchParams(SR, s1=30),
+                                    SketchParams(MR, s1=60, s2=30)],
+                         ids=[CHOLQR2, SR, MR])
+def test_factorize_rejects_a_bad_seed(monkeypatch, params, seed):
+    # at 1.5, sr would run seed 1's sketch and mr raise a bare TypeError
+    monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
+    with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\) as an int"):
+        qr.factorize(params, t1_dense(1e-4, q=10), seed)
 
 
 def test_requires_tall_input():

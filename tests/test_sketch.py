@@ -85,6 +85,8 @@ def test_apply_countsketch_dimension():
     op = sketch.build_countsketch(4, 10, 0)
     with pytest.raises(DimensionError):
         sketch.apply_countsketch(op, np.zeros((11, 2)))
+    with pytest.raises(DimensionError, match="expects 10 rows, got 11"):
+        sketch.apply_countsketch(op, sparse.from_dense(np.ones((11, 2))))
 
 
 def test_apply_gaussian_dimension():
@@ -485,6 +487,8 @@ def test_countsketch_min_rows():
     assert sketch.countsketch_min_rows(30, 0.999999, 0.999999) in (930, 931)
     with pytest.raises(ParamError):
         sketch.countsketch_min_rows(20, 1.5, 0.5)
+    with pytest.raises(ParamError, match="need n >= 1"):
+        sketch.countsketch_min_rows(0, 0.5, 0.5)
 
 
 def test_combine_embedding_exact():
@@ -556,6 +560,35 @@ def test_verify_embedding_rejects_bad_eps(eps):
     op = sketch.build_gaussian(20, 40, seed=20)
     with pytest.raises(ParamError):
         sketch.verify_embedding(op, x, eps, trials=10, seed=21)
+
+
+def test_verify_embedding_rejects_no_trials_and_a_non_operator():
+    x = np.random.default_rng(25).standard_normal((40, 3))
+    op = sketch.build_gaussian(20, 40, seed=26)
+    with pytest.raises(ParamError, match="need trials >= 1"):
+        sketch.verify_embedding(op, x, 0.5, trials=0, seed=27)
+    with pytest.raises(TypeError, match="not a sketch operator"):
+        sketch.verify_embedding(np.eye(40), x, 0.5, trials=10, seed=27)
+
+
+_BAD_SEEDS = [True, -1, 1.5, 2**64, 2**70]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda seed: sketch.build_countsketch(4, 10, seed),
+    lambda seed: sketch.build_gaussian(4, 10, seed),
+    lambda seed: sketch.build_multisketch(8, 4, 10, seed),
+    lambda seed: sketch.verify_embedding(sketch.build_gaussian(4, 10, 0),
+                                         np.ones((10, 2)), 0.5, 5, seed),
+], ids=["countsketch", "gaussian", "multisketch", "verify_embedding"])
+def test_bad_seed_is_rejected_before_a_draw(monkeypatch, build, seed):
+    # Philox would truncate 1.5 to seed 1's key, take True as 1, and take
+    # 2**70 whole, which mix_seed cuts to 64 bits; -1 would fail only when
+    # an operator is applied
+    monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
+    with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\) as an int"):
+        build(seed)
 
 
 def test_verify_embedding_accepts_eps_hi_above_one():

@@ -22,6 +22,29 @@ def test_csr_validation():
         sparse.CSRMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([np.inf]))
 
 
+@pytest.mark.parametrize("rows, cols, row_ptr, col_idx, values, message", [
+    (0, 2, [0], [], [], "dimensions must be positive"),
+    (2, 0, [0, 0, 0], [], [], "dimensions must be positive"),
+    (2, 2, [0, 1], [0], [1.0], "rows\\+1 entries"),
+    (2, 2, [1, 1, 1], [0], [1.0], "start at 0 and end at nnz"),
+    (2, 2, [0, 1, 1], [0, 1], [1.0, 2.0], "start at 0 and end at nnz"),
+    (3, 2, [0, 2, 1, 2], [0, 1], [1.0, 2.0], "non-decreasing"),
+    (2, 2, [0, 1, 2], [0, 1, 0], [1.0, 2.0], "equal length"),
+], ids=["no-rows", "no-cols", "row-ptr-length", "row-ptr-first",
+        "row-ptr-last", "row-ptr-decreasing",
+        "unequal-lengths"])
+def test_csr_shape_checks(rows, cols, row_ptr, col_idx, values, message):
+    with pytest.raises(DimensionError, match=message):
+        sparse.CSRMatrix(rows, cols, np.array(row_ptr), np.array(col_idx),
+                         np.array(values))
+
+
+def test_csr_equality_against_a_non_csr():
+    s = sparse.from_dense(np.eye(2))
+    assert s.__eq__(np.eye(2)) is NotImplemented
+    assert s != "csr" and s == sparse.from_dense(np.eye(2))
+
+
 @pytest.mark.parametrize("row_ptr,col_idx,ok", [
     ([0, 2, 2, 2, 4], [0, 1, 0, 1], True),    # a fall after empty rows
     ([0, 2, 4, 4], [1, 2, 1, 2], True),       # a repeat at a row start
@@ -114,6 +137,41 @@ def test_round_trip_exact():
 def test_from_dense_exact_nnz():
     d = np.array([[0.0, 1.0], [2.0, 0.0]])
     assert sparse.from_dense(d).nnz == 2
+
+
+def _from_dense_by_nonzero(d):
+    """The CSR of ``d`` from both index arrays of ``np.nonzero``."""
+    keep = d != 0.0
+    rows, cols = np.nonzero(keep)
+    row_ptr = np.zeros(d.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=d.shape[0]), out=row_ptr[1:])
+    return sparse.CSRMatrix(d.shape[0], d.shape[1], row_ptr, cols, d[keep])
+
+
+@pytest.mark.parametrize("d", [
+    sparse.as_dense(generate(GeneratorSpec("t1", sigma=1e-4, block_count=50))),
+    sparse.as_dense(generate(GeneratorSpec("t2", sigma=1e-4, block_count=50))),
+    generate(GeneratorSpec("dense", sigma=1e-4, block_count=50, seed=2)),
+    np.array([[0.0, -0.0, 0.0], [1.0, 0.0, -2.0], [0.0, 0.0, 0.0],
+              [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]),
+], ids=["t1", "t2", "dense", "empty-rows"])
+def test_from_dense_matches_the_nonzero_construction(d):
+    s = sparse.from_dense(d)
+    assert s == _from_dense_by_nonzero(d)
+    assert s.col_idx.dtype == np.int64 and s.row_ptr.dtype == np.int64
+
+
+def test_from_dense_forms_one_index_array():
+    # the mask, one 8-byte column index and the values per entry: about 18.8
+    # bytes; np.nonzero's row and column indices made it about 26.8
+    d = generate(GeneratorSpec("dense", sigma=1e-4, block_count=2500))
+    tracemalloc.start()
+    try:
+        sparse.from_dense(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * d.size
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -218,6 +276,27 @@ def test_matrix_market_malformed_entry(tmp_path):
 
 
 _BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("", "empty file", 1),
+    ("%%MatrixMarket matrix coordinate real\n2 2 0\n", "banner", 1),
+    ("%MatrixMarket matrix coordinate real general\n2 2 0\n", "banner", 1),
+    (_BANNER + "% only a comment\n\n", "missing size line", 3),
+    (_BANNER + "2 2\n", "size line must be 'rows cols nnz'", 2),
+    (_BANNER + "% c\n2 2 1 1\n", "size line must be 'rows cols nnz'", 3),
+    (_BANNER + "2 2.0 0\n", "must contain integers", 2),
+    (_BANNER + "0 2 0\n", "invalid matrix dimensions", 2),
+    (_BANNER + "2 0 0\n", "invalid matrix dimensions", 2),
+    (_BANNER + "2 2 -1\n", "invalid matrix dimensions", 2),
+], ids=["empty", "short-banner", "bad-banner", "no-size-line", "two-fields",
+        "four-fields", "non-integer", "no-rows", "no-cols", "negative-nnz"])
+def test_matrix_market_bad_header(tmp_path, text, message, line):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message) as info:
+        sparse.read_matrix_market(path)
+    assert info.value.line == line
 
 
 @pytest.mark.parametrize("bad", ["2 2 1.0 % note", "1.0 2 1.0", "1.5 2 1.0",
