@@ -601,9 +601,9 @@ def singular_values(x) -> np.ndarray:
     pair's own diagonal, so small eigenvalues are resolved as well as
     large ones: condition numbers agree with LAPACK's to 1e-4 up to about
     1e6 (ROADMAP item 1).  Past about 1e8 the Gram's squaring dominates:
-    values below about sqrt(u) * ||X||_2 are lost.  A rotation reads its three entries
-    as Python floats and writes the pair's rows, then its columns, from
-    views of the old ones.
+    values below about sqrt(u) * ||X||_2 are lost.  A rotation reads its
+    three entries as Python floats and writes the pair's rows, then its
+    columns, from views of the old ones.
     """
     x = as_matrix(x)
     a = gram(x)
