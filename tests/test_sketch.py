@@ -571,10 +571,7 @@ def test_verify_embedding_rejects_no_trials_and_a_non_operator():
         sketch.verify_embedding(np.eye(40), x, 0.5, trials=10, seed=27)
 
 
-_BAD_SEEDS = [True, -1, 1.5, 2**64, 2**70]
-
-
-@pytest.mark.parametrize("seed", _BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("seed", [True, -1, 1.5, 2**64, 2**70], ids=repr)
 @pytest.mark.parametrize("build", [
     lambda seed: sketch.build_countsketch(4, 10, seed),
     lambda seed: sketch.build_gaussian(4, 10, seed),
