@@ -64,25 +64,21 @@ def _add_alg_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_embedding_flags(p: argparse.ArgumentParser) -> None:
-    unread = "failure prob; range-checked only, no bound or report reads it"
     p.add_argument("--eps1", type=float, default=0.5)
-    p.add_argument("--p1", type=float, default=0.6, help=unread)
     p.add_argument("--eps2", type=float, default=0.5)
-    p.add_argument("--p2", type=float, default=0.4, help=unread)
     p.add_argument("--eps", type=float, default=0.5, help="single-sketch epsilon")
-    p.add_argument("--p", type=float, default=0.6, help=unread)
 
 
 def _sketch_params(args) -> bounds.SketchParams:
-    """The one reading of --alg and the size flags, plus the embedding flags
-    where the command has them (only ``bounds`` uses embedding values)."""
-    e = {k: getattr(args, k, 0.0)
-         for k in ("eps1", "p1", "eps2", "p2", "eps", "p")}
+    """The one reading of --alg and the size flags, plus the eps flags where
+    the command has them (only ``bounds`` uses embedding values).  No bound
+    reads a failure probability, so none is set."""
+    e = {k: getattr(args, k, 0.0) for k in ("eps1", "eps2", "eps")}
     if args.alg == bounds.MR:
-        return bounds.SketchParams.multi(e["eps1"], e["p1"], e["eps2"], e["p2"],
-                                         args.s1, args.s2)
+        return bounds.SketchParams(bounds.MR, e1=e["eps1"], e2=e["eps2"],
+                                   s1=args.s1, s2=args.s2)
     if args.alg == bounds.SR:
-        return bounds.SketchParams.single(e["eps"], e["p"], args.s)
+        return bounds.SketchParams(bounds.SR, e1=e["eps"], s1=args.s)
     return bounds.SketchParams.none()
 
 

@@ -165,20 +165,20 @@ def write_matrix_market_reference(s, path) -> None:
 
 
 def kappa_limit_reference(profile, params, m: int, n: int, eta: float,
-                          j: float, u: float = U) -> float:
+                          j: float) -> float:
     """Each class's condition-number limit written out on its own, one
     branch per route: the values rcholqr.bounds.kappa_limit must give bit
     for bit."""
     sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
     if params.mode == CHOLQR2:
-        base = math.sqrt(m * u + (n + 1) * u)
+        base = math.sqrt(m * U + (n + 1) * U)
         k2 = 1.0 / (10.5 * j * base)
         if profile.kind == sparse.T1:
             k1 = 1.0 / (10.5 * eta * base * sw)
             return min(k1, k2)
         return k2
-    t, s_out, emb, root_s, root_b = _stage(params, m, u)
-    tail = math.sqrt((1.0 - emb.eps_s) / (s_out * u + (n + 1) * u))
+    t, s_out, emb, root_s, root_b = _stage(params, m)
+    tail = math.sqrt((1.0 - emb.eps_s) / (s_out * U + (n + 1) * U))
     k = t * sw
     w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
     if profile.kind == sparse.T1:
@@ -189,19 +189,18 @@ def kappa_limit_reference(profile, params, m: int, n: int, eta: float,
 
 
 def predicted_resid_reference(profile, params, m: int, n: int,
-                              norm_x_2: float, eta: float, j: float,
-                              u: float = U) -> float:
+                              norm_x_2: float, eta: float, j: float) -> float:
     """Each class's residual bound written out on its own: the values
     rcholqr.bounds.predicted_resid must give bit for bit."""
     sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
     n_sqrt_n = n * math.sqrt(n)
-    scale = u * norm_x_2
+    scale = U * norm_x_2
     if params.mode == CHOLQR2:
         if profile.kind == sparse.T1:
             return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
         return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
-    t, _, emb, root_s, root_b = _stage(params, m, u)
-    grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n, u)
+    t, _, emb, root_s, root_b = _stage(params, m)
+    grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
     tail = 1.34 * math.sqrt(1.0 + grow) / root_s
     if profile.kind == sparse.T1:

@@ -285,8 +285,8 @@ def test_cli_bounds_json(tmp_path, capsys):
           "--out", str(mtx)])
     report = tmp_path / "report.json"
     code = main(["bounds", "--in", str(mtx), "--alg", "mr", "--s1", "700",
-                 "--s2", "100", "--eps1", "0.5", "--p1", "0.6",
-                 "--eps2", "0.5", "--p2", "0.4", "--json", str(report)])
+                 "--s2", "100", "--eps1", "0.5", "--eps2", "0.5",
+                 "--json", str(report)])
     assert code == 0
     data = json.loads(report.read_text())
     assert data["matrix_class"] == "T1"
@@ -341,7 +341,7 @@ def test_cli_bounds_rejects_stage_eps_above_one(tmp_path, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("flags", [["--eps", "0.5", "--p", "1.5"], ["--eps", "-0.5"],
+@pytest.mark.parametrize("flags", [["--eps", "inf"], ["--eps", "-0.5"],
                                    ["--eps", "nan"], ["--eps", "1.5"]])
 def test_cli_bounds_sr_rejects_eps_or_p_out_of_range(tmp_path, capsys, flags):
     mtx = tmp_path / "x.mtx"
@@ -354,6 +354,25 @@ def test_cli_bounds_sr_rejects_eps_or_p_out_of_range(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert "rcholqr: error: need each stage's eps and p in [0, 1]" in captured.err
     assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flags", [["--alg", "sr", "--s", "100", "--p", "0.6"],
+                                   ["--alg", "mr", "--s1", "100", "--s2", "30",
+                                    "--p1", "0.6"],
+                                   ["--alg", "mr", "--s1", "100", "--s2", "30",
+                                    "--p2", "0.4"]])
+def test_cli_bounds_has_no_probability_flags(tmp_path, capsys, flags):
+    # no bound reads a failure probability, so no flag sets one
+    mtx = tmp_path / "x.mtx"
+    main(["gen", "--family", "t1", "--sigma", "1e-4", "--blocks", "10",
+          "--out", str(mtx)])  # 200 x 20
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", "--in", str(mtx), *flags, "--json", str(report)])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: " + " ".join(flags[-2:]) \
+        in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -65,16 +65,10 @@ def test_const_t_regression_experiment_params():
         6.001191983779668, rel=1e-15)
 
 
-def test_const_t_vanishes_without_rounding():
-    assert bounds.const_t(2800, 500, 20000, 0.5, u=0.0) == 0.0
-    assert bounds.const_t1(20000, 500, u=0.0) == 0.0
-
-
 def test_const_t1_k1():
     # k1 = t1 * sparse_weight; build_bound_report's constants pin both
     t1 = bounds.const_t1(20000, 500)
     assert t1 == 7.601113771173531e-10
-    assert bounds.const_t1(20000, 500, u=2 * U) == pytest.approx(2 * t1, rel=1e-15)
     assert bounds.sparse_weight(0, 0, 0, 20) == 0.0
     assert bounds.sparse_weight(2, 50, 3, 20) == math.sqrt(2 * 50 + 60)
 
@@ -91,14 +85,6 @@ def test_kappa_limit_monotone_in_eta():
     hi = bounds.kappa_limit(T1_PROFILE, NO_SKETCH,
                             20000, 20, eta=0.5, j=2.0)
     assert lo >= hi
-
-
-def test_kappa_limit_u_to_zero():
-    tiny = bounds.kappa_limit(T2_PROFILE, EXP_MULTI,
-                              20000, 20, eta=0.1, j=2.0, u=1e-40)
-    big = bounds.kappa_limit(T2_PROFILE, EXP_MULTI,
-                             20000, 20, eta=0.1, j=2.0)
-    assert tiny > 1e10 * big
 
 
 def test_kappa_limit_t1_below_t2():
@@ -161,23 +147,6 @@ def test_predicted_resid_linear_in_norm():
     assert seven == pytest.approx(7 * one, rel=1e-15)
 
 
-def test_bounds_monotone_in_u():
-    for params in (NO_SKETCH, EXP_MULTI, EXP_SINGLE):
-        low = bounds.predicted_orth(params, 20000, 20, u=U)
-        high = bounds.predicted_orth(params, 20000, 20, u=2 * U)
-        assert high > low
-        r_low = bounds.predicted_resid(T2_PROFILE, params,
-                                       20000, 20, 1.0, 0.1, 2.0, u=U)
-        r_high = bounds.predicted_resid(T2_PROFILE, params,
-                                        20000, 20, 1.0, 0.1, 2.0, u=2 * U)
-        assert r_high > r_low
-        k_low = bounds.kappa_limit(T2_PROFILE, params,
-                                   20000, 20, 0.1, 2.0, u=2 * U)
-        k_high = bounds.kappa_limit(T2_PROFILE, params,
-                                    20000, 20, 0.1, 2.0, u=U)
-        assert k_high > k_low
-
-
 def test_build_bound_report_t1():
     x = make_t1(GeneratorSpec("t1", sigma=1e-4))
     report = bounds.build_bound_report(x, MR, EXP_MULTI)
@@ -228,8 +197,9 @@ def test_build_bound_report_admissible_implication():
 
 
 # Exact values of the sketched bounds, frozen before sr was written as mr
-# with one Gaussian stage: (algorithm, class, profile, eta, j, u,
-# kappa_limit, predicted_resid at ||X||_2 = 1).
+# with one Gaussian stage: (algorithm, class, profile, eta, j, the unit
+# roundoff they were frozen at, kappa_limit, predicted_resid at
+# ||X||_2 = 1).
 SKETCHED_PINS = [
     (SR, sparse.T1, T1_PROFILE, 0.007, 4.45, U,
      51376.68584007757, 1.8151686326207922e-13),
@@ -247,25 +217,17 @@ SKETCHED_PINS = [
      1077.7544867272513, 9.883707260969405e-12),
     (MR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, U,
      65998.71401192379, 3.370088439647986e-13),
-    (SR, sparse.T1, T1_PROFILE, 0.5, 2.0, 1e-7,
-     0.0008031248620416609, 0.019201632050630305),
-    (SR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, 1e-7,
-     0.04918115279363009, 0.00044772004966445536),
-    (MR, sparse.T1, T1_PROFILE, 0.5, 2.0, 1e-7,
-     0.00020139106071030466, 0.08701970861125813),
-    (MR, sparse.DENSE, DENSE_PROFILE, 0.5, 2.0, 1e-7,
-     0.01233263343745289, 0.0017637753837555703),
 ]
 
 
 @pytest.mark.parametrize("alg,kind,profile,eta,j,u,limit,resid", SKETCHED_PINS)
 def test_sketched_bounds_pinned(alg, kind, profile, eta, j, u, limit, resid):
     params = EXP_SINGLE if alg == SR else EXP_MULTI
-    assert (params.mode, profile.kind) == (alg, kind)
+    assert (params.mode, profile.kind, u) == (alg, kind, bounds.U)
     assert bounds.kappa_limit(profile, params, 20000, 20,
-                              eta=eta, j=j, u=u) == limit
+                              eta=eta, j=j) == limit
     assert bounds.predicted_resid(profile, params, 20000, 20,
-                                  norm_x_2=1.0, eta=eta, j=j, u=u) == resid
+                                  norm_x_2=1.0, eta=eta, j=j) == resid
 
 
 def test_build_bound_report_constants_pinned():
@@ -344,13 +306,6 @@ def test_build_bound_report_calls_spectrum_and_g_norm_once(monkeypatch):
         assert sorted(calls) == ["g_norm", "singular_values"], alg
 
 
-@pytest.mark.parametrize("u", [0.0, -U, 1.0, 2.0, math.inf, math.nan])
-def test_build_bound_report_rejects_u_outside_open_unit_interval(u):
-    x = np.random.default_rng(4).standard_normal((200, 5))
-    with pytest.raises(ParamError, match="need 0 < u < 1"):
-        bounds.build_bound_report(x, CHOLQR2, NO_SKETCH, u=u)
-
-
 @pytest.mark.parametrize("eps,ok,capped", [
     (0.9985, True, True),
     (0.998943, False, True),  # the band where const_a still reads a number
@@ -422,10 +377,9 @@ def _bits_or_error(f, *args, **kwargs):
 
 
 def _bound_grid(draws: int, seed: int):
-    """Seeded (profile, params, m, n, norm_x_2, eta, j, u) draws over every
-    class and mode, m up to 10^6, eta and j including 0 and u including 0."""
+    """Seeded (profile, params, m, n, norm_x_2, eta, j) draws over every
+    class and mode, m up to 10^6, eta and j including 0."""
     rng = np.random.default_rng(seed)
-    us = [U, 2 * U, 2.0 ** -24, 1e-7, 1e-40, 0.0]
     eps_values = [0.0, 0.1, 0.5, 0.99, 1.0]
 
     def ratio():
@@ -448,30 +402,28 @@ def _bound_grid(draws: int, seed: int):
                               s1 if mode != CHOLQR2 else 0,
                               s2 if mode == MR else 0)
         norm_x_2 = float(10.0 ** rng.uniform(-3, 3))
-        yield (profile, params, m, n, norm_x_2, ratio(), ratio(),
-               us[int(rng.integers(len(us)))])
+        yield profile, params, m, n, norm_x_2, ratio(), ratio()
 
 
 def test_bounds_match_per_class_reference_bit_for_bit():
     # one formula per bound over the class's routes gives every bit and
     # every exception type of the per-class expressions
     weightless = SparsityProfile(v=1, t1=0, t2=0, c=1.0, kind=sparse.T1)
-    fixed = [(profile, params, 20000, 20, 1.0, eta, j, u)
+    fixed = [(profile, params, 20000, 20, 1.0, eta, j)
              for profile in (T1_PROFILE, T2_PROFILE, DENSE_PROFILE, weightless)
              for params in (NO_SKETCH, EXP_SINGLE, EXP_MULTI)
-             for eta, j in ((0.007, 4.45), (0.5, 2.0), (0.0, 2.0), (0.5, 0.0))
-             for u in (U, 1e-7)]
+             for eta, j in ((0.007, 4.45), (0.5, 2.0), (0.0, 2.0), (0.5, 0.0))]
     outcomes = []
-    for profile, params, m, n, norm_x_2, eta, j, u in \
+    for profile, params, m, n, norm_x_2, eta, j in \
             fixed + list(_bound_grid(1500, seed=20)):
         limit = _bits_or_error(bounds.kappa_limit, profile, params, m, n,
-                               eta, j, u)
+                               eta, j)
         assert limit == _bits_or_error(kappa_limit_reference, profile, params,
-                                       m, n, eta, j, u)
+                                       m, n, eta, j)
         resid = _bits_or_error(bounds.predicted_resid, profile, params, m, n,
-                               norm_x_2, eta, j, u)
+                               norm_x_2, eta, j)
         assert resid == _bits_or_error(predicted_resid_reference, profile,
-                                       params, m, n, norm_x_2, eta, j, u)
+                                       params, m, n, norm_x_2, eta, j)
         outcomes += [limit, resid]
     # the grid reaches values, zeros and raised errors alike
     assert sum(isinstance(o, str) for o in outcomes) > 2000
