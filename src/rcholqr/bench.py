@@ -21,7 +21,7 @@ import numpy as np
 from . import generators, qr, sparse
 from .bounds import BoundReport, SketchParams
 from .errors import CholeskyBreakdown, ParamError
-from .sketch import _check_seed, mix_seed
+from .sketch import _check_int, mix_seed
 
 SUCCESS = "SUCCESS"
 QUALITY_FAIL = "QUALITY_FAIL"
@@ -71,11 +71,10 @@ def run_experiment(config: ExperimentConfig,
 
     Pass ``x`` to reuse an already materialized input across configurations.
     """
-    if config.trials < 1:
-        raise ParamError("need trials >= 1")
+    _check_int(config.trials, "trials", 1, None)
     if not config.success_orth_threshold >= 0.0:  # NaN fails this too
         raise ParamError("need a success threshold >= 0")
-    _check_seed(config.master_seed, "master_seed")
+    _check_int(config.master_seed, "master_seed")
     params = SketchParams(config.algorithm, s1=config.s1, s2=config.s2)
     if x is None:
         x = load_input(config)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import dense, norms, sparse
 from .errors import AssumptionViolated, ParamError, RankDeficient
-from .sketch import EmbeddingParams, combine_embedding
+from .sketch import EmbeddingParams, _check_int, combine_embedding
 
 U = dense.UNIT_ROUNDOFF
 
@@ -129,13 +129,13 @@ class SketchParams:
             raise ParamError(f"unknown algorithm {self.mode!r}")
 
     def check(self, m: int, n: int) -> None:
-        """The sketch sizes fit an m x n input: n <= s2 <= s1 <= m for mr,
-        n <= s <= m for sr."""
-        if self.mode == MR and not n <= self.s2 <= self.s1 <= m:
-            raise ParamError(
-                f"need n <= s2 <= s1 <= m, got s1={self.s1}, s2={self.s2}")
-        if self.mode == SR and not n <= self.s1 <= m:
-            raise ParamError(f"need n <= s <= m, got s={self.s1}")
+        """The sketch sizes the mode reads are ints that fit an m x n input:
+        n <= s2 <= s1 <= m for mr, n <= s <= m for sr."""
+        if self.mode == MR:
+            _check_int(self.s1, "s1", n, m)
+            _check_int(self.s2, "s2", n, self.s1)
+        if self.mode == SR:
+            _check_int(self.s1, "s", n, m)
 
     def embedding(self) -> EmbeddingParams:
         """The composed embedding, range-checked.  The stages that sr and

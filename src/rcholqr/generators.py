@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dense, qr, sparse
 from .errors import ParamError
-from .sketch import _check_seed
+from .sketch import _check_int
 
 T1_ARROWHEAD = "t1"
 T2_ROWS = "t2"
@@ -36,11 +36,9 @@ class GeneratorSpec:
             raise ParamError(f"unknown family {self.family!r}")
         if not 0.0 < self.sigma <= 1.0:
             raise ParamError("sigma must lie in (0, 1]")
-        if self.block_size < 2:
-            raise ParamError("block_size must be at least 2")
-        if self.block_count < 1:
-            raise ParamError("block_count must be at least 1")
-        _check_seed(self.seed, "seed")
+        _check_int(self.block_size, "block_size", 2, None)
+        _check_int(self.block_count, "block_count", 1, None)
+        _check_int(self.seed, "seed")
 
 
 def _decay(nb: int, sigma: float) -> np.ndarray:

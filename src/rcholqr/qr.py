@@ -128,7 +128,7 @@ def factorize(params: SketchParams, x, seed: int) -> QRResult:
     calls checks that ``x`` is finite.  ``seed`` is checked for every
     algorithm, cholqr2 too, which draws nothing.
     """
-    sketch._check_seed(seed, "seed")
+    sketch._check_int(seed, "seed")
     x = dense.as_matrix(x)
     m, n = x.shape
     params.check(m, n)

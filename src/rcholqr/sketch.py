@@ -61,12 +61,16 @@ def mix_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _check_seed(seed, name: str) -> None:
-    """A seed is an int (not a bool) in [0, 2**64): a Philox key, and all
-    that ``mix_seed`` keeps of a master seed."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) \
-            or not 0 <= seed <= _MASK64:
-        raise ParamError(f"{name} must lie in [0, 2**64) as an int, got {seed!r}")
+def _check_int(value, name: str, lo: int = 0, hi: int | None = _MASK64) -> None:
+    """The one check of an integer field: an ``Integral`` that is not a
+    bool, in [lo, hi], or at least lo when hi is None.  A float is refused
+    even when whole, and True is not 1.  The default range is a seed's,
+    [0, 2**64): a Philox key, and all that ``mix_seed`` keeps of a master
+    seed."""
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < lo or (hi is not None and value > hi):
+        end = "inf)" if hi is None else "2**64)" if hi == _MASK64 else f"{hi}]"
+        raise ParamError(f"{name} must lie in [{lo}, {end} as an int, got {value!r}")
 
 
 @dataclass
@@ -117,9 +121,8 @@ def _draw(rng: np.random.Generator, rows: int, op: GaussianSketchOp) -> np.ndarr
 
 
 def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
-    _check_seed(seed, "seed")
-    if not 1 <= s1 <= m:
-        raise ParamError(f"need 1 <= s1 <= m, got s1={s1}, m={m}")
+    _check_int(seed, "seed")
+    _check_int(s1, "s1", 1, m)
     rng = _philox(seed)
     row_of = rng.integers(0, s1, size=m, dtype=np.int64)
     sign_of = 2.0 * rng.integers(0, 2, size=m, dtype=np.int64) - 1.0
@@ -127,15 +130,14 @@ def build_countsketch(s1: int, m: int, seed: int) -> CountSketchOp:
 
 
 def build_gaussian(s: int, m_in: int, seed: int) -> GaussianSketchOp:
-    _check_seed(seed, "seed")
-    if not 1 <= s <= m_in:
-        raise ParamError(f"need 1 <= s <= m_in, got s={s}, m_in={m_in}")
+    _check_int(seed, "seed")
+    _check_int(s, "s", 1, m_in)
     return GaussianSketchOp(s, m_in, seed)
 
 
 def build_multisketch(s1: int, s2: int, m: int, seed: int) -> MultiSketchOp:
     """Independent stages from sub-seeds mix_seed(seed, 0) and mix_seed(seed, 1)."""
-    _check_seed(seed, "seed")
+    _check_int(seed, "seed")
     return MultiSketchOp(
         count=build_countsketch(s1, m, mix_seed(seed, 0)),
         gauss=build_gaussian(s2, s1, mix_seed(seed, 1)),
@@ -334,9 +336,8 @@ def verify_embedding(op, x, eps, trials: int, seed: int) -> float:
     eps_lo must lie in [0, 1] and eps_hi must be non-negative; eps_hi > 1
     is legal, since composed sketches reach it.
     """
-    if trials < 1:
-        raise ParamError("need trials >= 1")
-    _check_seed(seed, "seed")
+    _check_int(trials, "trials", 1, None)
+    _check_int(seed, "seed")
     if isinstance(eps, EmbeddingParams):
         lo, hi = eps.eps_s, eps.eps_b
     else:

@@ -135,9 +135,25 @@ def test_run_experiment_validation():
     with pytest.raises(ParamError):
         run_experiment(ExperimentConfig(generator=small_t1(), algorithm="qr",
                                         trials=1))
-    with pytest.raises(ParamError, match="need trials >= 1"):
+    with pytest.raises(ParamError, match=r"trials must lie in \[1, inf\) as an int"):
         run_experiment(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2,
                                         trials=0))
+
+
+@pytest.mark.parametrize("trials", [20.5, 20.0, True], ids=repr)
+def test_run_experiment_rejects_trials_that_are_not_an_int(monkeypatch, trials):
+    # True ran one trial, and 2.0 raised a bare TypeError once the input
+    # was made
+    monkeypatch.setattr(bench, "load_input", lambda _config: pytest.fail("loaded"))
+    with pytest.raises(ParamError, match=r"trials must lie in \[1, inf\) as an int"):
+        run_experiment(ExperimentConfig(generator=small_t1(), algorithm=CHOLQR2,
+                                        trials=trials))
+
+
+def test_run_experiment_takes_numpy_int_trials():
+    records, summary = run_experiment(ExperimentConfig(
+        generator=small_t1(q=2), algorithm=CHOLQR2, trials=np.int64(20)))
+    assert summary.trials == 20 and [r.trial for r in records] == list(range(20))
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), -1.0])

@@ -141,6 +141,23 @@ def test_spec_rejects_seed_that_is_not_an_int(seed):
         GeneratorSpec("dense", sigma=1e-4, seed=seed)
 
 
+@pytest.mark.parametrize("value", [20.5, 20.0, True], ids=repr)
+@pytest.mark.parametrize("field", ["block_size", "block_count"])
+def test_spec_rejects_a_size_that_is_not_an_int(field, value):
+    # block_size 20.5 built a 210 x 21 stack, block_count True one block,
+    # and 20.0 raised a bare TypeError
+    sizes = {"block_size": 20, "block_count": 2, field: value}
+    with pytest.raises(ParamError, match=rf"{field} must lie in \[\d, inf\) as an int"):
+        GeneratorSpec("t1", sigma=1e-4, **sizes)
+
+
+@pytest.mark.parametrize("field", ["block_size", "block_count"])
+def test_spec_takes_numpy_int_sizes(field):
+    sizes = {"block_size": 20, "block_count": 2}
+    made = generate(GeneratorSpec("t1", sigma=1e-4, **{**sizes, field: np.int64(20)}))
+    assert made == generate(GeneratorSpec("t1", sigma=1e-4, **{**sizes, field: 20}))
+
+
 def test_spec_takes_numpy_int_seed():
     a = make_dense(GeneratorSpec("dense", sigma=1e-4, block_count=2, seed=np.int64(7)))
     b = make_dense(GeneratorSpec("dense", sigma=1e-4, block_count=2, seed=7))

@@ -112,6 +112,40 @@ def test_factorize_rejects_a_bad_seed(monkeypatch, params, seed):
         qr.factorize(params, t1_dense(1e-4, q=10), seed)
 
 
+SIZE_FIELDS = {  # the field's name in the error -> params with it at v
+    "s": lambda v: SketchParams.single(0.5, 0.6, v),
+    "s1": lambda v: SketchParams.multi(0.5, 0.6, 0.5, 0.4, v, 10),
+    "s2": lambda v: SketchParams.multi(0.5, 0.6, 0.5, 0.4, 100, v),
+}
+
+
+@pytest.mark.parametrize("value", [20.5, 20.0, True], ids=repr)
+@pytest.mark.parametrize("name", SIZE_FIELDS)
+def test_sketch_size_that_is_not_an_int_is_rejected_before_a_draw(
+        monkeypatch, name, value):
+    # s = 100.5 got a bound report for a sketch that cannot exist, and
+    # factorize raised a bare TypeError on it
+    params = SIZE_FIELDS[name](value)
+    x = np.random.default_rng(6).standard_normal((200, 5))
+    monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
+    pattern = rf"{name} must lie in \[\d+, \d+\] as an int"
+    with pytest.raises(ParamError, match=pattern):
+        params.check(200, 5)
+    with pytest.raises(ParamError, match=pattern):
+        build_bound_report(x, params.mode, params)
+    with pytest.raises(ParamError, match=pattern):
+        qr.factorize(params, x, 0)
+
+
+@pytest.mark.parametrize("name", SIZE_FIELDS)
+def test_sketch_size_takes_a_numpy_int(name):
+    x = np.random.default_rng(6).standard_normal((200, 5))
+    got, want = SIZE_FIELDS[name](np.int64(20)), SIZE_FIELDS[name](20)
+    assert build_bound_report(x, got.mode, got) == \
+        build_bound_report(x, want.mode, want)
+    assert np.array_equal(qr.factorize(got, x, 3).q, qr.factorize(want, x, 3).q)
+
+
 def test_requires_tall_input():
     with pytest.raises(DimensionError):
         qr.cholesky_qr2(np.ones((2, 3)))

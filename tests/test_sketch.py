@@ -565,7 +565,7 @@ def test_verify_embedding_rejects_bad_eps(eps):
 def test_verify_embedding_rejects_no_trials_and_a_non_operator():
     x = np.random.default_rng(25).standard_normal((40, 3))
     op = sketch.build_gaussian(20, 40, seed=26)
-    with pytest.raises(ParamError, match="need trials >= 1"):
+    with pytest.raises(ParamError, match=r"trials must lie in \[1, inf\) as an int"):
         sketch.verify_embedding(op, x, 0.5, trials=0, seed=27)
     with pytest.raises(TypeError, match="not a sketch operator"):
         sketch.verify_embedding(np.eye(40), x, 0.5, trials=10, seed=27)
@@ -586,6 +586,35 @@ def test_bad_seed_is_rejected_before_a_draw(monkeypatch, build, seed):
     monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
     with pytest.raises(ParamError, match=r"seed must lie in \[0, 2\*\*64\) as an int"):
         build(seed)
+
+
+SIZED_BUILDS = {  # the field's name in the error -> a call with it at v
+    "s1": lambda v: sketch.build_countsketch(v, 100, 5),
+    "s": lambda v: sketch.build_gaussian(v, 100, 5),
+    "trials": lambda v: sketch.verify_embedding(
+        sketch.build_gaussian(4, 100, 0), np.ones((100, 2)), 0.5, v, 5),
+}
+
+
+@pytest.mark.parametrize("value", [20.5, 20.0, True], ids=repr)
+@pytest.mark.parametrize("name", SIZED_BUILDS)
+def test_size_or_count_that_is_not_an_int_is_rejected_before_a_draw(
+        monkeypatch, name, value):
+    # each raised a bare TypeError, and only once the operator was applied
+    monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
+    with pytest.raises(ParamError,
+                       match=rf"{name} must lie in \[1, (100\]|inf\)) as an int"):
+        SIZED_BUILDS[name](value)
+
+
+@pytest.mark.parametrize("name", SIZED_BUILDS)
+def test_size_or_count_takes_a_numpy_int(name):
+    got, want = SIZED_BUILDS[name](np.int64(20)), SIZED_BUILDS[name](20)
+    if name == "s1":
+        assert np.array_equal(got.row_of, want.row_of)
+        assert np.array_equal(got.sign_of, want.sign_of)
+    else:
+        assert got == want
 
 
 def test_verify_embedding_accepts_eps_hi_above_one():
