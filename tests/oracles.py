@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from rcholqr import dense, sketch, sparse
-from rcholqr.bounds import CHOLQR2, U, _stage, const_a, const_d, sparse_weight
+from rcholqr.bounds import CHOLQR2, MR, U
+from rcholqr.errors import AssumptionViolated
 
 BLOCK = 32
 
@@ -164,12 +165,36 @@ def write_matrix_market_reference(s, path) -> None:
             handle.write(f"{i + 1} {j + 1} {v!r}\n")
 
 
+def _sketched_terms(params, m: int) -> tuple[float, int, float, float, float, float]:
+    """The sketched bounds' per-mode terms, written out from the paper's
+    constants without rcholqr.bounds: the sketching-stage coefficient (t
+    for mr, t1 for sr), the last sketch size, the composed eps_s and
+    eps_b, sqrt(1 - eps_s) and sqrt(1 + eps_b).  The operation order is
+    the production one, so the bits agree."""
+    if params.mode == MR:
+        s1, s2 = params.s1, params.s2
+        o1 = math.sqrt(m)
+        o2 = 1.0 + 2.0 * (math.sqrt(s1 / s2) + 3.0 / math.sqrt(s2))
+        inner = math.sqrt(1.0 + params.e1) + 1.1 * m * U * o1
+        t = 1.1 * s1 * U * math.sqrt(s2) * o2 * inner + 1.1 * m * U * o1 * o2
+        s_out = s2
+    else:
+        s = params.s1
+        t = 1.1 * m * U * math.sqrt(s) * (
+            1.0 + 2.0 * (math.sqrt(m / s) + 3.0 / math.sqrt(s)))
+        s_out = s
+    e1, e2 = params.e1, params.e2
+    eps_s = (e1 + e2) - e1 * e2
+    eps_b = (e1 + e2) + e1 * e2
+    return t, s_out, eps_s, eps_b, math.sqrt(1.0 - eps_s), math.sqrt(1.0 + eps_b)
+
+
 def kappa_limit_reference(profile, params, m: int, n: int, eta: float,
                           j: float) -> float:
     """Each class's condition-number limit written out on its own, one
     branch per route: the values rcholqr.bounds.kappa_limit must give bit
     for bit."""
-    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    sw = math.sqrt(profile.v * profile.t1 + n * profile.t2)
     if params.mode == CHOLQR2:
         base = math.sqrt(m * U + (n + 1) * U)
         k2 = 1.0 / (10.5 * j * base)
@@ -177,8 +202,8 @@ def kappa_limit_reference(profile, params, m: int, n: int, eta: float,
             k1 = 1.0 / (10.5 * eta * base * sw)
             return min(k1, k2)
         return k2
-    t, s_out, emb, root_s, root_b = _stage(params, m)
-    tail = math.sqrt((1.0 - emb.eps_s) / (s_out * U + (n + 1) * U))
+    t, s_out, eps_s, _, root_s, root_b = _sketched_terms(params, m)
+    tail = math.sqrt((1.0 - eps_s) / (s_out * U + (n + 1) * U))
     k = t * sw
     w = min(root_s / (10.5 * j * t), 1.0 / (10.5 * j * (root_b + t)) * tail)
     if profile.kind == sparse.T1:
@@ -192,15 +217,19 @@ def predicted_resid_reference(profile, params, m: int, n: int,
                               norm_x_2: float, eta: float, j: float) -> float:
     """Each class's residual bound written out on its own: the values
     rcholqr.bounds.predicted_resid must give bit for bit."""
-    sw = sparse_weight(profile.v, profile.t1, profile.t2, n)
+    sw = math.sqrt(profile.v * profile.t1 + n * profile.t2)
     n_sqrt_n = n * math.sqrt(n)
     scale = U * norm_x_2
     if params.mode == CHOLQR2:
         if profile.kind == sparse.T1:
             return (2.52 * eta * sw + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
         return (2.52 * j + 1.34 * math.sqrt(n)) * n_sqrt_n * scale
-    t, _, emb, root_s, root_b = _stage(params, m)
-    grow = const_d(const_a(emb.eps_s, emb.eps_b), m, n)
+    t, _, eps_s, eps_b, root_s, root_b = _sketched_terms(params, m)
+    den = 0.87 * math.sqrt((1.0 - eps_s) / (1.0 + eps_b)) - 0.02
+    if den <= 0.0:
+        raise AssumptionViolated("no kappa(W) cap")
+    a = 1.16 / den
+    grow = 5.0 * a * a * (m * n * U + n * (n + 1) * U)
     lead = (1.32 + 1.34 * math.sqrt(1.0 + grow)) / root_s
     tail = 1.34 * math.sqrt(1.0 + grow) / root_s
     if profile.kind == sparse.T1:
