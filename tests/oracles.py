@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from rcholqr import dense, sketch, sparse
+from rcholqr import dense, generators, sketch, sparse
 from rcholqr.bounds import CHOLQR2, MR, U
 from rcholqr.errors import AssumptionViolated
 
@@ -125,6 +125,21 @@ def jacobi_singular_values_reference(g: np.ndarray) -> np.ndarray:
             break
     lam = np.sort(np.diagonal(a).copy())[::-1]
     return np.sqrt(np.maximum(lam, 0.0))
+
+
+def reference_spectrum(spec: generators.GeneratorSpec) -> list:
+    """The singular values of the generated input, descending, as 60-digit
+    mpmath numbers, without LAPACK.  Every generator input is
+    ``block_count`` stacked copies of its first ``block_size`` rows, so its
+    singular values are sqrt(block_count) times those of that block, which
+    a 60-digit SVD gives.  Needs mpmath, which CI does not install."""
+    import mpmath
+    x = sparse.as_dense(generators.generate(spec))
+    with mpmath.workdps(60):
+        block = mpmath.matrix(x[:spec.block_size].tolist())  # exact binary values
+        values = mpmath.svd_r(block, compute_uv=False)
+        scale = mpmath.sqrt(spec.block_count)
+        return sorted((v * scale for v in values), reverse=True)
 
 
 def householder_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

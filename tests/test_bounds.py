@@ -9,7 +9,8 @@ from rcholqr.errors import AssumptionViolated, ParamError, RankDeficient
 from rcholqr.generators import GeneratorSpec, generate, make_t1
 from rcholqr.sparse import SparsityProfile
 
-from oracles import kappa_limit_reference, predicted_resid_reference
+from oracles import (kappa_limit_reference, predicted_resid_reference,
+                     reference_spectrum)
 
 EXP_MULTI = SketchParams.multi(0.5, 0.6, 0.5, 0.4, 2800, 500)
 EXP_SINGLE = SketchParams.single(0.5, 0.6, 500)
@@ -288,6 +289,61 @@ def test_report_kappa_is_monotone_in_sigma_up_to_1e7(family):
         kappas.append(kappa)
     assert len(kappas) >= 16 if family == "dense" else len(kappas) >= 13
     assert all(a < b for a, b in zip(kappas, kappas[1:])), kappas
+
+
+# Exact spectra of the generator inputs in ROADMAP's Baseline spectrum
+# table, from oracles.reference_spectrum (a 60-digit SVD of the first
+# block, which needs no LAPACK): (family, sigma, seed, kappa, ||X||_2),
+# each the double nearest the 60-digit value.  Every input is 1000 copies
+# of a 20 x 20 block.
+REFERENCE_SPECTRA = [
+    ("t1", 1e-4, 0, 350586.55700663535, 1378.9415819189524),
+    ("t1", 1e-5, 0, 3254419.2927463558, 1378.927404620284),
+    ("t1", 1e-6, 0, 30052948.42692664, 1378.9182061517438),
+    ("dense", 1e-7, 0, 10000000.002262212, 31.6227766016838),
+    ("t2", 1e-7, 0, 80959210.62162426, 200.1595021061201),
+    ("t1", 2e-8, 0, 1299236741.9327812, 1378.9084410302262),
+    ("t1", 1e-8, 0, 2529386989.0961876, 1378.9071871725462),
+    ("dense", 1.25e-9, 3, 800000003.3037117, 31.622776601683793),
+    ("t2", 1.25e-9, 0, 6514987829.07743, 200.14472107344076),
+    ("dense", 1e-11, 0, 100000151609.841, 31.6227766016838),
+    ("dense", 1e-13, 0, 9999940846238.896, 31.6227766016838),
+]
+PINNED = {f"{family}-{sigma:g}-seed{seed}":
+          (GeneratorSpec(family, sigma=sigma, seed=seed), kappa, norm)
+          for family, sigma, seed, kappa, norm in REFERENCE_SPECTRA}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_reference_spectrum_regenerates_the_pins(name):
+    mpmath = pytest.importorskip("mpmath")
+    spec, kappa, norm = PINNED[name]
+    values = reference_spectrum(spec)
+    with mpmath.workdps(60):
+        assert (float(values[0] / values[-1]), float(values[0])) == (kappa, norm)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_input_is_a_tile_of_its_first_block(name):
+    # what makes the 20 x 20 block's spectrum the whole input's
+    spec = PINNED[name][0]
+    x = sparse.as_dense(generate(spec))
+    assert np.array_equal(x, np.tile(x[:spec.block_size], (spec.block_count, 1)))
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_report_two_norm_matches_the_pinned_reference(name):
+    spec, _, norm = PINNED[name]
+    x = sparse.as_dense(generate(spec))
+    assert abs(dense.singular_values(x)[0] - norm) <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("name", ["t1-0.0001-seed0", "t1-1e-05-seed0"])
+def test_report_kappa_matches_the_pinned_reference(name):
+    spec, kappa, _ = PINNED[name]
+    x = sparse.as_dense(generate(spec))
+    report = bounds.build_bound_report(x, CHOLQR2, NO_SKETCH)
+    assert abs(report.kappa_measured - kappa) <= 1e-4 * kappa
 
 
 def test_build_bound_report_calls_spectrum_and_g_norm_once(monkeypatch):
