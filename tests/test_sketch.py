@@ -601,6 +601,7 @@ SIZED_BUILDS = {  # the field's name in the error -> a call with it at v
 def test_size_or_count_that_is_not_an_int_is_rejected_before_a_draw(
         monkeypatch, name, value):
     # each raised a bare TypeError, and only once the operator was applied
+    # or the test vectors drawn
     monkeypatch.setattr(sketch, "_philox", lambda _seed: pytest.fail("drew"))
     with pytest.raises(ParamError,
                        match=rf"{name} must lie in \[1, (100\]|inf\)) as an int"):
